@@ -11,6 +11,7 @@ before the batch is adapted on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -86,12 +87,14 @@ class AdaptConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
+            )
         if self.steps_per_batch < 1:
             raise ValueError("steps_per_batch must be at least 1")
 

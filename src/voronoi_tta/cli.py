@@ -93,6 +93,15 @@ KEYS = {
 }
 
 
+def parse_value(key: str, text: str, parser=None):
+    """Parse one key's text with its KEYS parser (or ``parser``); a parse
+    error names the key."""
+    try:
+        return (parser or KEYS[key][0])(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def read_config_file(path: str) -> dict:
     values = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -105,7 +114,10 @@ def read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in KEYS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = KEYS[key][0](text.strip())
+        try:
+            values[key] = parse_value(key, text.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return values
 
 
@@ -284,14 +296,16 @@ def main(argv=None) -> int:
         raw = collect_values(args)
         values = {}
         for key, value in raw.items():
-            values[key] = KEYS[key][0](value) if isinstance(value, str) else value
+            values[key] = parse_value(key, value) if isinstance(value, str) else value
         spec = build_spec(values)
         if args.command == "run":
             return cmd_run(spec)
         if args.command == "ablate":
             return cmd_ablate(spec)
         if args.command == "sweep":
-            values_arg = _parse_values(args.values) if args.values else None
+            values_arg = (
+                parse_value("values", args.values, _parse_values) if args.values else None
+            )
             return cmd_sweep(spec, args.axis, values_arg)
         return cmd_render(spec, args.which)
     except DivergenceError as exc:

@@ -16,6 +16,7 @@ toward the lowest cell index so that repeated calls are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,18 +101,21 @@ class ClusterSiteSet:
     weight_sq: Array | None = None  # (K,)
 
     def __post_init__(self):
-        c = np.asarray(self.clusters, dtype=float)
+        # Private read-only copies: prepared site sets are shared between runs.
+        c = np.array(self.clusters, dtype=float)
         if c.ndim != 3 or c.shape[0] < 1 or c.shape[1] < 1:
             raise ValueError("clusters must be a non-empty (K, A, dim) array")
         if not np.all(np.isfinite(c)):
             raise ValueError("cluster sites must be finite")
+        c.setflags(write=False)
         object.__setattr__(self, "clusters", c)
         if self.weight_sq is not None:
-            w = np.asarray(self.weight_sq, dtype=float)
+            w = np.array(self.weight_sq, dtype=float)
             if w.shape != (c.shape[0],):
                 raise ValueError("need one squared weight per cluster")
             if not np.all(np.isfinite(w)):
                 raise ValueError("weights must be finite")
+            w.setflags(write=False)
             object.__setattr__(self, "weight_sq", w)
 
     @property
@@ -167,10 +171,12 @@ class InfluenceConfig:
     distance_floor: float = 1e-8
 
     def __post_init__(self):
-        if self.gamma == 0:
-            raise ValueError("gamma must be nonzero")
-        if not self.distance_floor > 0:
-            raise ValueError("distance_floor must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma != 0):
+            raise ValueError(f"gamma must be finite and nonzero, got {self.gamma!r}")
+        if not (math.isfinite(self.distance_floor) and self.distance_floor > 0):
+            raise ValueError(
+                f"distance_floor must be finite and positive, got {self.distance_floor!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ ground-truth labels only for scoring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,13 @@ class StreamConfig:
             raise ValueError(f"corruption must be one of {CORRUPTIONS}")
         if not 1 <= self.severity <= 5:
             raise ValueError("severity is an integer in 1..5")
-        if self.label_shift_alpha is not None and not self.label_shift_alpha > 0:
-            raise ValueError("label_shift_alpha must be positive")
-        if not (self.class_mean_scale >= 0 and self.class_cov_scale >= 0):
-            raise ValueError("scales must be nonnegative")
+        alpha = self.label_shift_alpha
+        if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"label_shift_alpha must be finite and positive, got {alpha!r}")
+        for name in ("class_mean_scale", "class_cov_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from voronoi_tta.adaptation import (
 from voronoi_tta.cli import main as cli_main
 from voronoi_tta.experiments import (
     ExperimentSpec,
+    _prepare_source,
     prepare_run,
     render_diagram,
     run_single,
@@ -430,8 +431,9 @@ def test_12_cli_determinism(tmp_path):
         "--n-train-per-class", "300",
     ]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli_main(args + ["--out", str(out_a)]) == 0
-    assert cli_main(args + ["--out", str(out_b)]) == 0
+    for out in (out_a, out_b):
+        _prepare_source.cache_clear()  # each run prepares its source afresh
+        assert cli_main(args + ["--out", str(out)]) == 0
     fa = (out_a / "trace_cipd_seed0.csv").read_bytes()
     fb = (out_b / "trace_cipd_seed0.csv").read_bytes()
     assert fa == fb and len(fa) > 0

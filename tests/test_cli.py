@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from voronoi_tta.cli import build_spec, main, read_config_file
+from voronoi_tta.experiments import _prepare_source
 
 FAST = [
     "--classes", "4", "--raw-dim", "4", "--feature-dim", "6",
@@ -94,6 +95,7 @@ def test_summary_means_match_trace_csvs(tmp_path):
 def test_run_is_byte_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
+        _prepare_source.cache_clear()  # compare two fresh source preparations
         assert run_cli("run", *FAST, "--mode", "cipd", "--seeds", "0", "--out", str(out)) == 0
     f1 = (out1 / "trace_cipd_seed0.csv").read_bytes()
     f2 = (out2 / "trace_cipd_seed0.csv").read_bytes()
@@ -147,3 +149,33 @@ def test_exit_codes():
     assert run_cli("render", "--which", "vd", *FAST) == 1  # feature_dim != 2
     assert run_cli("nonsense") == 1  # usage error
     assert run_cli("--help") == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--lr", "nan", "learning_rate"),
+        ("--tau", "inf", "tau"),
+        ("--distance-floor", "inf", "distance_floor"),
+        ("--gamma", "nan", "gamma"),
+        ("--class-mean-scale", "inf", "class_mean_scale"),
+        ("--alpha", "inf", "label_shift_alpha"),
+    ],
+)
+def test_non_finite_hyperparameters_exit_1_naming_the_field(tmp_path, capsys, flag, value, name):
+    code = run_cli("run", *FAST, flag, value, "--mode", "vd", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_errors_name_the_key(tmp_path, capsys):
+    assert run_cli("run", *FAST, "--severity", "3.5", "--out", str(tmp_path / "out")) == 1
+    assert "severity: invalid literal" in capsys.readouterr().err
+    assert run_cli("sweep", *FAST, "--axis", "alpha", "--values", "1,x",
+                   "--out", str(tmp_path / "out")) == 1
+    assert "values: could not convert" in capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("classes = 4\nseeds = 0, 1.5\n")
+    with pytest.raises(ValueError, match=r"bad.cfg:2: seeds: invalid literal"):
+        read_config_file(cfg)
