@@ -16,6 +16,7 @@ from voronoi_tta import AdaptConfig, ExperimentSpec, StreamConfig, prepare_run
 from voronoi_tta.adaptation import forward
 from voronoi_tta.experiments import render_diagram
 from voronoi_tta.filtering import filter_batch
+from voronoi_tta.geometry import cipd_assign, cipd_influences
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -25,11 +26,17 @@ prepared = prepare_run(cfg, seed=3)
 batch = prepared.stream[0]
 features = forward(prepared.extractor, batch.inputs)
 
-report = filter_batch(features, prepared.clusters, AdaptConfig().influence)
+clusters = prepared.clusters
+influence = AdaptConfig().influence
+report = filter_batch(features, clusters, influence)
 print(f"batch of {len(batch.inputs)}: kept {report.keep_mask.sum()} "
       f"({100 * report.kept_fraction:.0f}%)")
-for i, (cell_u, cell_w) in zip(np.flatnonzero(~report.keep_mask), report.disagreement_pairs):
-    print(f"  sample {i:2d}: unweighted cell {cell_u} vs weighted cell {cell_w}"
+# The two cells of each excluded sample: zero weights vs the fitted weights.
+zeros = np.zeros(clusters.n_cells)
+unweighted = np.argmax(cipd_influences(features, clusters, influence, zeros), axis=1)
+weighted = cipd_assign(features, clusters, influence)
+for i in np.flatnonzero(~report.keep_mask):
+    print(f"  sample {i:2d}: unweighted cell {unweighted[i]} vs weighted cell {weighted[i]}"
           f"  (true class {batch.hidden_labels[i]})")
 
 # Render the subtraction band for a 2-D variant of the same setup.

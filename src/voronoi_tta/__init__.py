@@ -22,17 +22,17 @@ from .geometry import (
     LogisticHead,
     PowerSiteSet,
     SiteSet,
+    aggregate_influence,
     cipd_assign,
-    cipd_influence,
     cipd_influences,
     civd_assign,
-    civd_influence,
     civd_influences,
     compute_cells_2d,
-    diagram_disagreement,
     logistic_to_power,
     pd_assign,
     pd_power,
+    site_terms,
+    squared_distances,
     vd_assign,
     vd_distances,
 )
@@ -59,7 +59,6 @@ from .streams import (
     AugmentationFamily,
     Batch,
     StreamConfig,
-    estimate_sites,
     expand_cluster_sites,
     fit_logistic_head,
     fit_power_weights,

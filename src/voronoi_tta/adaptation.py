@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import geometry
 from .filtering import filter_batch
 from .geometry import ClusterSiteSet, InfluenceConfig, SiteSet
 
@@ -37,7 +38,7 @@ class FeatureExtractor:
     shift: Array  # (feature_dim,)
 
     def __post_init__(self):
-        m = np.asarray(self.frozen_map, dtype=float)
+        m = np.array(self.frozen_map, dtype=float)
         s = np.array(self.scale, dtype=float)
         b = np.array(self.shift, dtype=float)
         if m.ndim != 2:
@@ -78,7 +79,6 @@ class AdaptConfig:
 
     mode: str = "vd"
     tau: float = 1.0
-    epsilon: float = 1e-12
     learning_rate: float = 0.1
     steps_per_batch: int = 1
     influence: InfluenceConfig = field(default_factory=InfluenceConfig)
@@ -89,8 +89,6 @@ class AdaptConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(
                 f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
@@ -186,16 +184,10 @@ def mode_scores(features, sites, cfg: AdaptConfig) -> Array:
     c = _as_cluster_set(sites)
     z = np.atleast_2d(np.asarray(features, dtype=float))
     if cfg.mode == "vd":
-        from .geometry import vd_distances
-
-        return -vd_distances(z, c.base_sites())
+        return -geometry.vd_distances(z, c.base_sites())
     if cfg.mode == "civd":
-        from .geometry import civd_influences
-
-        return civd_influences(z, c, cfg.influence)
-    from .geometry import cipd_influences
-
-    return cipd_influences(z, c, cfg.influence)
+        return geometry.civd_influences(z, c, cfg.influence)
+    return geometry.cipd_influences(z, c, cfg.influence)
 
 
 def _entropy_and_score_grad(scores: Array, tau: float) -> tuple[Array, Array]:
@@ -238,32 +230,23 @@ def batch_loss_and_grad(
 
     if cfg.mode == "vd":
         mu = c.base_sites().sites  # (K, ell)
-        diff = z[:, None, :] - mu[None, :, :]
-        d = np.sqrt(np.einsum("nkd,nkd->nk", diff, diff))
+        d = geometry.site_terms(geometry.squared_distances(z, mu[:, None, :]))[..., 0]
         h, g = _entropy_and_score_grad(-d, cfg.tau)
         # dscore/dz = -(z - mu_k)/d_k where the floor is not active.
         w = np.where(d > floor, -g / np.maximum(d, floor), 0.0)
         grad_z = z * np.sum(w, axis=1)[:, None] - w @ mu
     else:
         mu = c.clusters  # (K, A, ell)
-        diff = z[:, None, None, :] - mu[None, :, :, :]
-        dsq = np.einsum("nkad,nkad->nka", diff, diff)
-        if cfg.mode == "civd":
-            d = np.sqrt(dsq)
-            terms = d
-            # dterm/dz = (z - mu)/d
-            inner = np.where(d > floor, 1.0 / np.maximum(d, floor), 0.0)
-            active = terms > floor
-        else:
-            if c.weight_sq is None:
-                raise ValueError("cipd mode requires cluster weights")
-            terms = dsq - c.weight_sq[None, :, None]
-            # dterm/dz = 2 (z - mu)
-            inner = np.full_like(terms, 2.0)
-            active = terms > floor
-        clamped = np.maximum(terms, floor)
-        scores = -np.sign(gamma) * np.sum(clamped**gamma, axis=-1)
+        if cfg.mode == "cipd" and c.weight_sq is None:
+            raise ValueError("cipd mode requires cluster weights")
+        weight_sq = c.weight_sq if cfg.mode == "cipd" else None
+        terms = geometry.site_terms(geometry.squared_distances(z, mu), weight_sq)
+        scores = geometry.aggregate_influence(terms, cfg.influence)
         h, g = _entropy_and_score_grad(scores, cfg.tau)
+        active = terms > floor
+        clamped = np.maximum(terms, floor)
+        # dterm/dz = (z - mu) * inner: 1/d for distances, 2 for power terms.
+        inner = 2.0 if weight_sq is not None else np.where(active, 1.0 / clamped, 0.0)
         # dF/dterm_a = -sign(gamma) * gamma * clamped^(gamma-1) on active terms
         w = np.where(
             active, -np.sign(gamma) * gamma * clamped ** (gamma - 1.0) * inner, 0.0
@@ -305,7 +288,7 @@ def run_stream(fe: FeatureExtractor, stream, sites: ClusterSiteSet, cfg: AdaptCo
         inputs = np.atleast_2d(np.asarray(batch.inputs, dtype=float))
         z = forward(fe, inputs)
         scores = mode_scores(z, c, cfg)
-        probs = soft_label_from_scores(scores, cfg.tau, cfg.epsilon)
+        probs = soft_label_from_scores(scores, cfg.tau)
         preds = np.argmax(scores, axis=-1)
         conf = np.max(probs, axis=-1)
 

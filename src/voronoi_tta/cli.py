@@ -84,7 +84,6 @@ KEYS = {
     "lr": (float, "adaptation learning rate"),
     "gamma": (float, "influence exponent"),
     "tau": (float, "softmax temperature"),
-    "epsilon": (float, "score stability offset"),
     "distance_floor": (float, "clamp floor for influence terms"),
     "steps_per_batch": (int, "gradient steps per batch"),
     "filter": (_parse_filter, "sample filtering: auto, true, or false"),
@@ -137,7 +136,6 @@ def build_spec(values: dict) -> ExperimentSpec:
     )
     adapt = AdaptConfig(
         tau=values.get("tau", AdaptConfig.tau),
-        epsilon=values.get("epsilon", AdaptConfig.epsilon),
         learning_rate=values.get("lr", AdaptConfig.learning_rate),
         steps_per_batch=values.get("steps_per_batch", AdaptConfig.steps_per_batch),
         influence=InfluenceConfig(

@@ -63,6 +63,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+                raise ValueError(f"seeds must be non-negative integers, got {seed!r}")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")

@@ -20,46 +20,27 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class FilterReport:
-    """Per-sample keep decisions plus the disagreeing cell pairs.
-
-    ``disagreement_pairs`` holds one (unweighted_cell, weighted_cell) entry
-    per excluded sample, in sample order.
-    """
+    """Per-sample keep decisions."""
 
     keep_mask: Array  # (n,) bool
     kept_fraction: float
-    disagreement_pairs: tuple[tuple[int, int], ...]
 
 
-def filter_batch(
-    features, c: ClusterSiteSet, cfg: InfluenceConfig, margin: float = 0.0
-) -> FilterReport:
-    """Mark samples whose unweighted and weighted assignments differ.
+def filter_batch(features, c: ClusterSiteSet, cfg: InfluenceConfig) -> FilterReport:
+    """Keep the samples whose unweighted and weighted assignments agree.
 
-    ``margin`` reserves room for a wider exclusion band: samples whose two
-    assignments agree but whose weighted top-two influence gap is below the
-    margin are excluded as well. The default 0 keeps the strict disagreement
-    region only.
+    Both sides use the power-based influence over the same clusters; the
+    unweighted side sets every v_k^2 to zero. With all-zero weights the two
+    diagrams coincide and every sample is kept. For singleton clusters the
+    excluded samples are exactly those whose VD and PD cells differ.
     """
     if c.weight_sq is None:
         raise ValueError("cluster set has no weights")
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
     z = np.atleast_2d(np.asarray(features, dtype=float))
-    zeros = np.zeros(c.n_cells)
-    unweighted = cipd_influences(z, c, cfg, weight_sq=zeros)
+    unweighted = cipd_influences(z, c, cfg, weight_sq=np.zeros(c.n_cells))
     weighted = cipd_influences(z, c, cfg)
-    cell_u = np.argmax(unweighted, axis=-1)
-    cell_w = np.argmax(weighted, axis=-1)
-    keep = cell_u == cell_w
-    if margin > 0 and c.n_cells > 1:
-        top2 = np.partition(weighted, -2, axis=-1)[:, -2:]
-        keep &= (top2[:, 1] - top2[:, 0]) >= margin
-    pairs = tuple(
-        (int(cell_u[i]), int(cell_w[i])) for i in np.flatnonzero(~keep)
-    )
+    keep = np.argmax(unweighted, axis=-1) == np.argmax(weighted, axis=-1)
     return FilterReport(
         keep_mask=keep,
         kept_fraction=float(np.mean(keep)) if len(keep) else 1.0,
-        disagreement_pairs=pairs,
     )

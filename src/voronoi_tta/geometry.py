@@ -9,6 +9,10 @@ Assignment rules implemented here:
 * Cluster-induced PD (CIPD): same aggregation over power terms
   ``d(mu_k^(a), z)^2 - v_k^2``.
 
+All four, the adaptation gradient and the distance report are computed from
+one squared-distance kernel (``squared_distances``), one term rule
+(``site_terms``) and one clamped aggregate (``aggregate_influence``).
+
 All queries accept a single point of shape ``(dim,)`` or a batch of shape
 ``(n, dim)`` and are pure functions of their inputs. Ties are always broken
 toward the lowest cell index so that repeated calls are deterministic.
@@ -194,69 +198,54 @@ class CellPolygon2D:
 
 
 # ---------------------------------------------------------------------------
-# Score kernels. Each returns (K,) for a single point or (n, K) for a batch,
-# computed identically for both layouts so callers can share the arrays.
+# Score kernels: the three helpers below, with VD and PD as the A = 1 slice.
+# Each public kernel returns (K,) for a single point or (n, K) for a batch.
 # ---------------------------------------------------------------------------
+
+
+def squared_distances(z: Array, clusters: Array) -> Array:
+    """(n, K, A) squared Euclidean distances from each row of ``z`` (n, dim)
+    to every site of ``clusters`` (K, A, dim)."""
+    diff = z[:, None, None, :] - clusters[None, :, :, :]
+    return np.einsum("nkad,nkad->nka", diff, diff)
+
+
+def site_terms(dsq: Array, weight_sq=None) -> Array:
+    """Per-site term of a squared-distance table: the distance ``sqrt(dsq)``,
+    or the power term ``dsq - v_k^2`` when per-cluster squared weights (K,)
+    are given."""
+    if weight_sq is None:
+        return np.sqrt(dsq)
+    return dsq - weight_sq[:, None]
+
+
+def aggregate_influence(terms: Array, cfg: InfluenceConfig) -> Array:
+    """Aggregate per-site terms over the last axis:
+    ``-sign(gamma) * sum_a max(term, distance_floor)^gamma``."""
+    clamped = np.maximum(terms, cfg.distance_floor)
+    return -np.sign(cfg.gamma) * np.sum(clamped**cfg.gamma, axis=-1)
 
 
 def vd_distances(z, s: SiteSet) -> Array:
     """Euclidean distance from z to every site."""
     z = _check_points(z, s.dim)
-    diff = np.atleast_2d(z)[:, None, :] - s.sites[None, :, :]
-    d = np.sqrt(np.einsum("nkd,nkd->nk", diff, diff))
+    d = site_terms(squared_distances(np.atleast_2d(z), s.sites[:, None, :]))[..., 0]
     return d[0] if z.ndim == 1 else d
 
 
 def pd_power(z, p: PowerSiteSet) -> Array:
     """Power distance d(z, mu_k)^2 - v_k^2 for every cell."""
     z = _check_points(z, p.dim)
-    diff = np.atleast_2d(z)[:, None, :] - p.base.sites[None, :, :]
-    power = np.einsum("nkd,nkd->nk", diff, diff) - p.weight_sq[None, :]
+    dsq = squared_distances(np.atleast_2d(z), p.base.sites[:, None, :])
+    power = site_terms(dsq, p.weight_sq)[..., 0]
     return power[0] if z.ndim == 1 else power
-
-
-def _cluster_distances(z, c: ClusterSiteSet) -> Array:
-    """(n, K, A) Euclidean distances from each point to every cluster site."""
-    z2 = np.atleast_2d(_check_points(z, c.dim))
-    diff = z2[:, None, None, :] - c.clusters[None, :, :, :]
-    return np.sqrt(np.einsum("nkad,nkad->nka", diff, diff))
-
-
-def _influence_from_terms(terms: Array, cfg: InfluenceConfig) -> Array:
-    """Aggregate per-site terms: -sign(gamma) * sum_a clamp(term)^gamma."""
-    clamped = np.maximum(terms, cfg.distance_floor)
-    return -np.sign(cfg.gamma) * np.sum(clamped**cfg.gamma, axis=-1)
-
-
-def civd_influence(z, cluster, cfg: InfluenceConfig) -> float | Array:
-    """Influence of one cluster of sites on z (distance-based form)."""
-    cluster = np.asarray(cluster, dtype=float)
-    if cluster.ndim != 2 or cluster.shape[0] == 0:
-        raise ValueError("cluster must be a non-empty (A, dim) array")
-    z = _check_points(z, cluster.shape[1])
-    diff = np.atleast_2d(z)[:, None, :] - cluster[None, :, :]
-    d = np.sqrt(np.einsum("nad,nad->na", diff, diff))
-    f = _influence_from_terms(d, cfg)
-    return float(f[0]) if z.ndim == 1 else f
-
-
-def cipd_influence(z, cluster, weight_sq: float, cfg: InfluenceConfig) -> float | Array:
-    """Influence of one weighted cluster on z (power-based form)."""
-    cluster = np.asarray(cluster, dtype=float)
-    if cluster.ndim != 2 or cluster.shape[0] == 0:
-        raise ValueError("cluster must be a non-empty (A, dim) array")
-    z = _check_points(z, cluster.shape[1])
-    diff = np.atleast_2d(z)[:, None, :] - cluster[None, :, :]
-    terms = np.einsum("nad,nad->na", diff, diff) - float(weight_sq)
-    f = _influence_from_terms(terms, cfg)
-    return float(f[0]) if z.ndim == 1 else f
 
 
 def civd_influences(z, c: ClusterSiteSet, cfg: InfluenceConfig) -> Array:
     """Distance-based influence of every cluster; (K,) or (n, K)."""
-    d = _cluster_distances(z, c)
-    f = _influence_from_terms(d, cfg)
-    return f[0] if np.asarray(z).ndim == 1 else f
+    z = _check_points(z, c.dim)
+    f = aggregate_influence(site_terms(squared_distances(np.atleast_2d(z), c.clusters)), cfg)
+    return f[0] if z.ndim == 1 else f
 
 
 def cipd_influences(z, c: ClusterSiteSet, cfg: InfluenceConfig, weight_sq=None) -> Array:
@@ -271,10 +260,10 @@ def cipd_influences(z, c: ClusterSiteSet, cfg: InfluenceConfig, weight_sq=None) 
         raise ValueError("cluster set has no weights")
     if w.shape != (c.n_cells,):
         raise ValueError("need one squared weight per cluster")
-    d = _cluster_distances(z, c)
-    terms = d**2 - w[None, :, None]
-    f = _influence_from_terms(terms, cfg)
-    return f[0] if np.asarray(z).ndim == 1 else f
+    z = _check_points(z, c.dim)
+    dsq = squared_distances(np.atleast_2d(z), c.clusters)
+    f = aggregate_influence(site_terms(dsq, w), cfg)
+    return f[0] if z.ndim == 1 else f
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +305,6 @@ def logistic_to_power(h: LogisticHead) -> PowerSiteSet:
     mu = h.weights / 2.0
     weight_sq = h.bias + np.sum(h.weights**2, axis=1) / 4.0
     return PowerSiteSet(SiteSet(mu), weight_sq)
-
-
-def diagram_disagreement(z, c: ClusterSiteSet, cfg: InfluenceConfig) -> bool | Array:
-    """True where the unweighted and weighted cluster diagrams assign z to
-    different cells.
-
-    Both sides use the power-based influence over the same clusters; the
-    unweighted side sets every v_k^2 to zero. With all-zero weights the two
-    diagrams coincide and the result is identically False. For singleton
-    clusters this is exactly the VD-vs-PD cell difference.
-    """
-    if c.weight_sq is None:
-        raise ValueError("cluster set has no weights")
-    zeros = np.zeros(c.n_cells)
-    unweighted = cipd_influences(z, c, cfg, weight_sq=zeros)
-    weighted = cipd_influences(z, c, cfg)
-    neq = np.argmax(unweighted, axis=-1) != np.argmax(weighted, axis=-1)
-    return bool(neq) if unweighted.ndim == 1 else neq
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import FeatureExtractor, RunTrace, forward
-from .geometry import ClusterSiteSet, InfluenceConfig
+from .geometry import (
+    ClusterSiteSet,
+    InfluenceConfig,
+    aggregate_influence,
+    site_terms,
+    squared_distances,
+)
 from .streams import AugmentationFamily
 
 Array = np.ndarray
@@ -130,14 +136,11 @@ def sample_distance_report(
         raise ValueError("expected a single raw input vector")
     if fam.size != c.n_sites_per_cluster:
         raise ValueError("augmentation family size does not match the clusters")
-    rows = []
-    for alpha in range(fam.size):
-        z = forward(fe, fam.apply(alpha, x))
-        diff = z[None, :] - c.clusters[:, alpha, :]
-        rows.append(np.sqrt(np.einsum("kd,kd->k", diff, diff)))
-    distances = np.stack(rows)  # (A, K)
-    clamped = np.maximum(distances, cfg.distance_floor)
-    influences = -np.sign(cfg.gamma) * np.sum(clamped**cfg.gamma, axis=0)
+    views = np.stack([forward(fe, fam.apply(alpha, x)) for alpha in range(fam.size)])
+    # View a is matched with site a of every cluster: the (a, k, a) entries.
+    matched = np.arange(fam.size)
+    distances = site_terms(squared_distances(views, c.clusters)[matched, :, matched])  # (A, K)
+    influences = aggregate_influence(distances.T, cfg)
     per_rotation_pred = np.argmin(distances, axis=1)
     aggregate_pred = int(np.argmax(influences))
     return DistanceReport(

@@ -118,10 +118,6 @@ def quarter_rotations() -> AugmentationFamily:
     return AugmentationFamily((0.0, 90.0, 180.0, 270.0))
 
 
-def identity_family() -> AugmentationFamily:
-    return AugmentationFamily((0.0,))
-
-
 def _rotate_pairs(x: Array, angle_deg: float) -> Array:
     if x.shape[-1] % 2 != 0:
         raise ValueError("inputs must have an even number of coordinates")
@@ -235,16 +231,6 @@ def _check_classes(y: Array, n_classes: int):
         raise ValueError(f"training set is missing classes {missing}")
 
 
-def estimate_sites(x, y, fe: FeatureExtractor, n_classes: int) -> SiteSet:
-    """Sites are per-class means of the training features."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
-    _check_classes(y, n_classes)
-    feats = forward(fe, x)
-    sites = np.stack([feats[y == k].mean(axis=0) for k in range(n_classes)])
-    return SiteSet(sites)
-
-
 def expand_cluster_sites(
     x, y, fe: FeatureExtractor, fam: AugmentationFamily, n_classes: int
 ) -> ClusterSiteSet:
@@ -335,69 +321,3 @@ def subsample_per_class(x, y, fraction: float, seed: int) -> tuple[Array, Array]
     keep_idx = np.concatenate(keep_idx)
     keep_idx.sort()
     return x[keep_idx], y[keep_idx]
-
-
-# ---------------------------------------------------------------------------
-# Columnar text fixtures: header with dims/K/seed, one sample per line.
-# ---------------------------------------------------------------------------
-
-
-def save_source(path, x, y, cfg: StreamConfig):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
-    with open(path, "w") as fh:
-        fh.write(f"# kind=source raw_dim={cfg.raw_dim} n_classes={cfg.n_classes} seed={cfg.seed}\n")
-        for label, row in zip(y, x):
-            fh.write(str(int(label)) + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-
-def save_stream(path, batches, cfg: StreamConfig):
-    with open(path, "w") as fh:
-        fh.write(
-            f"# kind=stream raw_dim={cfg.raw_dim} n_classes={cfg.n_classes} "
-            f"seed={cfg.seed} batch_size={cfg.batch_size}\n"
-        )
-        for t, batch in enumerate(batches):
-            for label, row in zip(batch.hidden_labels, batch.inputs):
-                fh.write(
-                    f"{t} {int(label)} " + " ".join(repr(float(v)) for v in row) + "\n"
-                )
-
-
-def _parse_header(line: str) -> dict:
-    if not line.startswith("#"):
-        raise ValueError("missing fixture header")
-    meta = {}
-    for token in line[1:].split():
-        key, _, value = token.partition("=")
-        meta[key] = value
-    return meta
-
-
-def load_source(path) -> tuple[Array, Array, dict]:
-    with open(path) as fh:
-        meta = _parse_header(fh.readline())
-        labels, rows = [], []
-        for line in fh:
-            parts = line.split()
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    return np.asarray(rows), np.asarray(labels, dtype=int), meta
-
-
-def load_stream(path) -> tuple[list[Batch], dict]:
-    with open(path) as fh:
-        meta = _parse_header(fh.readline())
-        per_batch: dict[int, list] = {}
-        for line in fh:
-            parts = line.split()
-            t = int(parts[0])
-            per_batch.setdefault(t, []).append(
-                (int(parts[1]), [float(v) for v in parts[2:]])
-            )
-    batches = []
-    for t in sorted(per_batch):
-        labels = np.asarray([entry[0] for entry in per_batch[t]], dtype=int)
-        inputs = np.asarray([entry[1] for entry in per_batch[t]])
-        batches.append(Batch(inputs=inputs, hidden_labels=labels))
-    return batches, meta

@@ -75,9 +75,12 @@ def test_forward_dimension_mismatch():
 
 
 def test_frozen_map_is_read_only():
-    fe = FeatureExtractor(np.eye(2), np.ones(2), np.zeros(2))
+    m = np.eye(2)
+    fe = FeatureExtractor(m, np.ones(2), np.zeros(2))
     with pytest.raises(ValueError):
         fe.frozen_map[0, 0] = 5.0
+    m[0, 0] = 3.0  # the caller's array stays writable and is not shared
+    assert fe.frozen_map[0, 0] == 1.0
 
 
 # --- soft labels ---

@@ -160,6 +160,7 @@ def test_exit_codes():
         ("--gamma", "nan", "gamma"),
         ("--class-mean-scale", "inf", "class_mean_scale"),
         ("--alpha", "inf", "label_shift_alpha"),
+        ("--seeds", "-1", "seeds"),
     ],
 )
 def test_non_finite_hyperparameters_exit_1_naming_the_field(tmp_path, capsys, flag, value, name):

@@ -17,7 +17,6 @@ def test_zero_weights_keep_everything():
     report = filter_batch(z, c, CFG)
     assert report.keep_mask.all()
     assert report.kept_fraction == 1.0
-    assert report.disagreement_pairs == ()
 
 
 def test_hand_example_excludes_boundary_sample():
@@ -26,7 +25,6 @@ def test_hand_example_excludes_boundary_sample():
     report = filter_batch(np.array([[0.95, 0.0], [0.2, 0.0]]), c, CFG)
     assert list(report.keep_mask) == [False, True]
     assert report.kept_fraction == 0.5
-    assert report.disagreement_pairs == ((0, 1),)
 
 
 def test_kept_fraction_matches_brute_force():
@@ -50,23 +48,10 @@ def test_filter_is_idempotent():
     assert second.keep_mask.all()
 
 
-def test_margin_widens_exclusion():
-    rng = np.random.default_rng(3)
-    c = ClusterSiteSet(rng.normal(size=(3, 4, 3)), rng.normal(size=3) * 0.3)
-    z = rng.normal(size=(300, 3))
-    strict = filter_batch(z, c, CFG)
-    wide = filter_batch(z, c, CFG, margin=0.5)
-    assert wide.keep_mask.sum() <= strict.keep_mask.sum()
-    assert np.all(strict.keep_mask | ~wide.keep_mask | ~strict.keep_mask)
-
-
-def test_requires_weights_and_valid_margin():
+def test_requires_weights():
     c = ClusterSiteSet(np.zeros((2, 1, 2)))
     with pytest.raises(ValueError):
         filter_batch(np.zeros((1, 2)), c, CFG)
-    weighted = ClusterSiteSet(np.zeros((2, 1, 2)), np.zeros(2))
-    with pytest.raises(ValueError):
-        filter_batch(np.zeros((1, 2)), weighted, CFG, margin=-1.0)
 
 
 def test_excluded_samples_contribute_nothing_to_loss_and_grad():

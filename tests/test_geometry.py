@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from voronoi_tta.filtering import filter_batch
 from voronoi_tta.geometry import (
     CellPolygon2D,
     ClusterSiteSet,
@@ -11,13 +15,10 @@ from voronoi_tta.geometry import (
     PowerSiteSet,
     SiteSet,
     cipd_assign,
-    cipd_influence,
     cipd_influences,
     civd_assign,
-    civd_influence,
     civd_influences,
     compute_cells_2d,
-    diagram_disagreement,
     logistic_to_power,
     pd_assign,
     pd_power,
@@ -30,18 +31,22 @@ CFG = InfluenceConfig(gamma=-0.8)
 
 # --- independent oracles: explicit loops, no shared code with the library ---
 
-def dist_oracle(z, site):
+def sqdist_oracle(z, site):
     acc = 0.0
     for a, b in zip(z, site):
         acc += (a - b) ** 2
-    return acc ** 0.5
+    return acc
+
+
+def dist_oracle(z, site):
+    return sqdist_oracle(z, site) ** 0.5
 
 
 def influence_oracle(z, cluster, gamma, floor, weight_sq=None):
     total = 0.0
     for site in cluster:
-        d = dist_oracle(z, site)
-        term = d if weight_sq is None else d * d - weight_sq
+        dsq = sqdist_oracle(z, site)
+        term = dsq**0.5 if weight_sq is None else dsq - weight_sq
         term = max(term, floor)
         total += term ** gamma
     sign = 1.0 if gamma > 0 else -1.0
@@ -120,7 +125,7 @@ def test_pd_assign_brute_force():
     z = rng.normal(size=(500, 3))
     got = pd_assign(z, p)
     want = [
-        argmin_first([dist_oracle(q, site) ** 2 - wk for site, wk in zip(sites, w)])
+        argmin_first([sqdist_oracle(q, site) - wk for site, wk in zip(sites, w)])
         for q in z
     ]
     assert np.array_equal(got, want)
@@ -138,11 +143,17 @@ def test_pd_equal_weights_equals_vd_for_any_offset():
 
 # --- civd ---
 
+def one_cluster(cluster, weight_sq=None):
+    """K = 1 cluster set holding the given (A, dim) sites."""
+    return ClusterSiteSet(np.asarray(cluster)[None], None if weight_sq is None else [weight_sq])
+
+
 def test_civd_influence_hand_values():
-    cluster = np.array([[0.0, 0.0], [2.0, 0.0]])
-    assert civd_influence(np.array([1.0, 0.0]), cluster, CFG) == pytest.approx(2.0)
-    single = np.array([[0.0, 0.0]])
-    assert civd_influence(np.array([0.0, 1.0]), single, InfluenceConfig(gamma=1.0)) == pytest.approx(-1.0)
+    pair = one_cluster([[0.0, 0.0], [2.0, 0.0]])
+    assert civd_influences(np.array([1.0, 0.0]), pair, CFG)[0] == pytest.approx(2.0)
+    single = one_cluster([[0.0, 0.0]])
+    gamma_one = InfluenceConfig(gamma=1.0)
+    assert civd_influences(np.array([0.0, 1.0]), single, gamma_one)[0] == pytest.approx(-1.0)
 
 
 def test_civd_influence_random_oracle():
@@ -150,7 +161,7 @@ def test_civd_influence_random_oracle():
     for _ in range(50):
         cluster = rng.normal(size=(4, 3))
         z = rng.normal(size=3)
-        got = civd_influence(z, cluster, CFG)
+        got = civd_influences(z, one_cluster(cluster), CFG)[0]
         want = influence_oracle(z, cluster, CFG.gamma, CFG.distance_floor)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -189,17 +200,20 @@ def test_civd_assign_brute_force_grid():
 
 def test_civd_empty_cluster_rejected():
     with pytest.raises(ValueError):
-        civd_influence(np.array([0.0, 0.0]), np.empty((0, 2)), CFG)
+        one_cluster(np.empty((0, 2)))
 
 
 # --- cipd ---
 
 def test_cipd_influence_hand_values():
-    single = np.array([[0.0, 0.0]])
-    got = cipd_influence(np.array([0.0, 1.0]), single, 0.0, InfluenceConfig(gamma=1.0))
+    single = one_cluster([[0.0, 0.0]], 0.0)
+    got = cipd_influences(np.array([0.0, 1.0]), single, InfluenceConfig(gamma=1.0))[0]
     assert got == pytest.approx(-1.0)
-    pair = np.array([[0.0, 0.0], [2.0, 0.0]])
-    assert cipd_influence(np.array([1.0, 0.0]), pair, 0.0, CFG) == pytest.approx(2.0)
+    pair = one_cluster([[0.0, 0.0], [2.0, 0.0]], 0.0)
+    assert cipd_influences(np.array([1.0, 0.0]), pair, CFG)[0] == pytest.approx(2.0)
+    # power term d^2 - v^2 = 4 - 3 = 1 at gamma = 1
+    shifted = one_cluster([[2.0, 0.0]], 3.0)
+    assert cipd_influences(np.array([0.0, 0.0]), shifted, InfluenceConfig(gamma=1.0))[0] == -1.0
 
 
 def test_cipd_influence_random_oracle():
@@ -209,7 +223,7 @@ def test_cipd_influence_random_oracle():
         z = rng.normal(size=3)
         dmin = min(dist_oracle(z, s) for s in cluster)
         w = rng.uniform(-1.0, 0.5) * dmin**2  # keep v^2 below min d^2
-        got = cipd_influence(z, cluster, w, CFG)
+        got = cipd_influences(z, one_cluster(cluster, w), CFG)[0]
         want = influence_oracle(z, cluster, CFG.gamma, CFG.distance_floor, weight_sq=w)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -275,26 +289,29 @@ def test_logistic_to_power_matches_logit_argmax():
         assert np.array_equal(pd_assign(z, p), np.argmax(logits, axis=1))
 
 
-# --- diagram subtraction ---
+# --- diagram subtraction (the filter's disagreement rule) ---
+
+def disagrees(z, c):
+    return ~filter_batch(z, c, CFG).keep_mask
+
 
 def test_disagreement_false_for_zero_weights():
     rng = np.random.default_rng(12)
     c = ClusterSiteSet(rng.normal(size=(4, 4, 3)), np.zeros(4))
     z = rng.normal(size=(300, 3))
-    assert not np.any(diagram_disagreement(z, c, CFG))
+    assert not np.any(disagrees(z, c))
 
 
 def test_disagreement_hand_example():
     sites = SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
     c = ClusterSiteSet.from_sites(sites, np.array([0.0, 0.5]))
-    assert diagram_disagreement(np.array([0.95, 0.0]), c, CFG) is True
-    assert diagram_disagreement(np.array([0.2, 0.0]), c, CFG) is False
+    assert disagrees(np.array([[0.95, 0.0], [0.2, 0.0]]), c).tolist() == [True, False]
 
 
 def test_disagreement_false_deep_inside_cell():
     sites = SiteSet(np.array([[0.0, 0.0], [10.0, 0.0]]))
     c = ClusterSiteSet.from_sites(sites, np.array([0.0, 0.5]))
-    assert diagram_disagreement(np.array([-3.0, 0.0]), c, CFG) is False
+    assert disagrees(np.array([-3.0, 0.0]), c).tolist() == [False]
 
 
 # --- 2-D cells ---
@@ -393,10 +410,9 @@ def test_influences_batch_matches_single():
     fw = cipd_influences(z, c, CFG)
     for i, p in enumerate(z):
         for k in range(4):
-            assert fb[i, k] == pytest.approx(civd_influence(p, c.clusters[k], CFG), rel=1e-12)
-            assert fw[i, k] == pytest.approx(
-                cipd_influence(p, c.clusters[k], c.weight_sq[k], CFG), rel=1e-12
-            )
+            single = one_cluster(c.clusters[k], c.weight_sq[k])
+            assert fb[i, k] == pytest.approx(civd_influences(p, single, CFG)[0], rel=1e-12)
+            assert fw[i, k] == pytest.approx(cipd_influences(p, single, CFG)[0], rel=1e-12)
 
 
 def test_invalid_configs_rejected():
@@ -406,3 +422,104 @@ def test_invalid_configs_rejected():
         InfluenceConfig(distance_floor=0.0)
     with pytest.raises(ValueError):
         SiteSet(np.array([[np.inf, 0.0]]))
+
+
+# --- properties of the shared kernel, against the per-site loop oracle ---
+
+# Multiples of 1/8 keep every difference, square and sum exact in float64,
+# so the kernel and the oracle see bitwise-identical squared distances.
+GRID = st.integers(-32, 32).map(lambda v: v / 8.0)
+GAMMAS = st.sampled_from([-2.5, -0.8, -0.3, 0.5, 1.0, 2.0])
+FLOORS = st.sampled_from([1e-8, 1e-3, 0.25])
+
+
+@st.composite
+def cluster_problems(draw):
+    """(clusters (K, A, dim), points (n, dim), weights (K,), config)."""
+    k, a, dim = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    clusters = draw(hnp.arrays(float, (k, a, dim), elements=GRID))
+    z = draw(hnp.arrays(float, (draw(st.integers(1, 6)), dim), elements=GRID))
+    weights = draw(hnp.arrays(float, (k,), elements=GRID.map(lambda v: 2.0 * v)))
+    cfg = InfluenceConfig(gamma=draw(GAMMAS), distance_floor=draw(FLOORS))
+    return clusters, z, weights, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(cluster_problems())
+def test_kernels_match_per_site_loop(problem):
+    clusters, z, w, cfg = problem
+    c = ClusterSiteSet(clusters, w)
+    sites = c.base_sites()
+    civd = civd_influences(z, c, cfg)
+    cipd = cipd_influences(z, c, cfg)
+    vd = vd_distances(z, sites)
+    pd = pd_power(z, PowerSiteSet(sites, w))
+    floor = cfg.distance_floor
+    for i, p in enumerate(z):
+        for k, cluster in enumerate(clusters):
+            want_v = influence_oracle(p, cluster, cfg.gamma, floor)
+            want_p = influence_oracle(p, cluster, cfg.gamma, floor, weight_sq=w[k])
+            assert civd[i, k] == pytest.approx(want_v, rel=1e-12)
+            assert cipd[i, k] == pytest.approx(want_p, rel=1e-12)
+            # exact squared distances make the A = 1 slice exact as well
+            assert vd[i, k] == dist_oracle(p, cluster[0])
+            assert pd[i, k] == sqdist_oracle(p, cluster[0]) - w[k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cluster_problems(),
+    st.sampled_from(["at", "above", "below", "double", "half", "zero"]),
+    st.data(),
+)
+def test_cipd_power_terms_around_the_floor(problem, where, data):
+    # z sits on site (k, a), so that site's power term is exactly -v_k^2
+    clusters, _, w, cfg = problem
+    floor = cfg.distance_floor
+    k = data.draw(st.integers(0, clusters.shape[0] - 1))
+    a = data.draw(st.integers(0, clusters.shape[1] - 1))
+    term = {
+        "at": floor,
+        "above": np.nextafter(floor, np.inf),
+        "below": np.nextafter(floor, 0.0),
+        "double": 2.0 * floor,
+        "half": 0.5 * floor,
+        "zero": 0.0,
+    }[where]
+    z = clusters[k, a]
+
+    def influences(site_term):
+        weights = w.copy()
+        weights[k] = -site_term
+        return weights, cipd_influences(z, ClusterSiteSet(clusters, weights), cfg)
+
+    weights, got = influences(term)
+    want = [
+        influence_oracle(z, cluster, cfg.gamma, floor, weight_sq=wj)
+        for cluster, wj in zip(clusters, weights)
+    ]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    if term <= floor and clusters.shape[1] == 1:
+        # a lone site's term at or below the floor counts as the floor itself
+        assert np.array_equal(got, influences(floor)[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cluster_problems())
+def test_ties_go_to_the_lowest_index(problem):
+    # every cluster appears twice; the copy at index K + k never wins
+    clusters, z, w, cfg = problem
+    c = ClusterSiteSet(clusters, w)
+    doubled = ClusterSiteSet(np.concatenate([clusters, clusters]), np.concatenate([w, w]))
+    assert np.array_equal(civd_assign(z, doubled, cfg), civd_assign(z, c, cfg))
+    assert np.array_equal(cipd_assign(z, doubled, cfg), cipd_assign(z, c, cfg))
+    assert np.array_equal(vd_assign(z, doubled.base_sites()), vd_assign(z, c.base_sites()))
+    assert np.array_equal(
+        pd_assign(z, PowerSiteSet(doubled.base_sites(), doubled.weight_sq)),
+        pd_assign(z, PowerSiteSet(c.base_sites(), w)),
+    )
+    # exact squared distances: the VD/PD argmin is the oracle's first minimum
+    for p, got in zip(z, vd_assign(z, c.base_sites())):
+        assert got == argmin_first([sqdist_oracle(p, site) for site in clusters[:, 0]])
+    for p, got in zip(z, pd_assign(z, PowerSiteSet(c.base_sites(), w))):
+        assert got == argmin_first([sqdist_oracle(p, s) - wk for s, wk in zip(clusters[:, 0], w)])

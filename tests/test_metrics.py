@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voronoi_tta.adaptation import AdaptConfig, FeatureExtractor, forward, run_stream
-from voronoi_tta.geometry import InfluenceConfig, civd_influence
+from voronoi_tta.geometry import ClusterSiteSet, InfluenceConfig, civd_influences
 from voronoi_tta.metrics import (
     CalibrationConfig,
     adaptation_curve,
@@ -210,7 +210,8 @@ def test_report_influence_matches_singleton_recomputation():
         total = 0.0
         for alpha in range(fam.size):
             z = forward(fe, fam.apply(alpha, x))
-            total += civd_influence(z, clusters.clusters[k, alpha : alpha + 1], icfg)
+            site = ClusterSiteSet(clusters.clusters[k : k + 1, alpha : alpha + 1])
+            total += civd_influences(z, site, icfg)[0]
         assert report.influences[k] == pytest.approx(total, rel=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""Synthetic source/stream generation, site estimation, and fixtures."""
+"""Synthetic source/stream generation and site estimation."""
 
 import numpy as np
 import pytest
@@ -9,18 +9,12 @@ from voronoi_tta.streams import (
     AugmentationFamily,
     StreamConfig,
     class_means,
-    estimate_sites,
     expand_cluster_sites,
     fit_logistic_head,
     fit_power_weights,
     gen_source,
     gen_stream,
-    identity_family,
-    load_source,
-    load_stream,
     quarter_rotations,
-    save_source,
-    save_stream,
     subsample_per_class,
 )
 
@@ -96,21 +90,26 @@ def make_extractor(cfg, seed=0):
     return FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, seed)
 
 
+def identity_sites(x, y, fe, n_classes):
+    """Per-class mean features: the identity-view sites."""
+    return expand_cluster_sites(x, y, fe, AugmentationFamily((0.0,)), n_classes).base_sites()
+
+
 def test_one_sample_per_class_sites_equal_features():
     cfg = StreamConfig(
         n_classes=3, raw_dim=4, feature_dim=5, n_train_per_class=1, seed=5,
     )
     x, y = gen_source(cfg)
     fe = make_extractor(cfg)
-    sites = estimate_sites(x, y, fe, cfg.n_classes)
+    sites = identity_sites(x, y, fe, cfg.n_classes)
     np.testing.assert_allclose(sites.sites, forward(fe, x))
 
 
 def test_duplicated_dataset_gives_identical_sites():
     x, y = gen_source(SMALL)
     fe = make_extractor(SMALL)
-    a = estimate_sites(x, y, fe, SMALL.n_classes)
-    b = estimate_sites(np.vstack([x, x]), np.concatenate([y, y]), fe, SMALL.n_classes)
+    a = identity_sites(x, y, fe, SMALL.n_classes)
+    b = identity_sites(np.vstack([x, x]), np.concatenate([y, y]), fe, SMALL.n_classes)
     np.testing.assert_allclose(a.sites, b.sites)
 
 
@@ -118,17 +117,7 @@ def test_missing_class_rejected():
     x, y = gen_source(SMALL)
     fe = make_extractor(SMALL)
     with pytest.raises(ValueError):
-        estimate_sites(x[y != 1], y[y != 1], fe, SMALL.n_classes)
-
-
-def test_identity_family_matches_estimate_sites():
-    x, y = gen_source(SMALL)
-    fe = make_extractor(SMALL)
-    clusters = expand_cluster_sites(x, y, fe, identity_family(), SMALL.n_classes)
-    assert clusters.n_sites_per_cluster == 1
-    np.testing.assert_allclose(
-        clusters.base_sites().sites, estimate_sites(x, y, fe, SMALL.n_classes).sites
-    )
+        identity_sites(x[y != 1], y[y != 1], fe, SMALL.n_classes)
 
 
 def test_rotation_invariant_inputs_collapse_clusters():
@@ -163,7 +152,7 @@ def test_symmetric_source_gives_equal_weights():
     x = np.vstack([x0, -x0])
     y = np.array([0, 0, 0, 1, 1, 1])
     fe = FeatureExtractor(np.eye(2), np.ones(2), np.zeros(2))
-    w = fit_power_weights(x, y, fe, estimate_sites(x, y, fe, 2))
+    w = fit_power_weights(x, y, fe, identity_sites(x, y, fe, 2))
     assert abs(w[0] - w[1]) < 1e-2
     assert np.all(np.isfinite(w))
 
@@ -184,7 +173,7 @@ def test_converted_head_reproduces_logit_argmax():
 def test_power_weights_are_centered():
     x, y = gen_source(SMALL)
     fe = make_extractor(SMALL)
-    w = fit_power_weights(x, y, fe, estimate_sites(x, y, fe, SMALL.n_classes))
+    w = fit_power_weights(x, y, fe, identity_sites(x, y, fe, SMALL.n_classes))
     assert abs(w.mean()) < 1e-12
 
 
@@ -232,7 +221,7 @@ def test_no_corruption_stream_matches_source_distribution():
     )
     x, y = gen_source(cfg)
     fe = make_extractor(cfg)
-    sites = estimate_sites(x, y, fe, cfg.n_classes)
+    sites = identity_sites(x, y, fe, cfg.n_classes)
     from voronoi_tta.geometry import vd_assign
 
     train_err = np.mean(vd_assign(forward(fe, x), sites) != y)
@@ -281,28 +270,3 @@ def test_config_validation():
         StreamConfig(severity=6)
     with pytest.raises(ValueError):
         StreamConfig(label_shift_alpha=0.0)
-
-
-# --- columnar fixtures ---
-
-def test_source_round_trip(tmp_path):
-    x, y = gen_source(SMALL)
-    path = tmp_path / "source.txt"
-    save_source(path, x, y, SMALL)
-    x2, y2, meta = load_source(path)
-    assert meta["kind"] == "source"
-    assert int(meta["n_classes"]) == SMALL.n_classes
-    np.testing.assert_array_equal(x, x2)
-    np.testing.assert_array_equal(y, y2)
-
-
-def test_stream_round_trip(tmp_path):
-    stream = gen_stream(SMALL)
-    path = tmp_path / "stream.txt"
-    save_stream(path, stream, SMALL)
-    loaded, meta = load_stream(path)
-    assert int(meta["batch_size"]) == SMALL.batch_size
-    assert len(loaded) == len(stream)
-    for a, b in zip(stream, loaded):
-        np.testing.assert_array_equal(a.inputs, b.inputs)
-        np.testing.assert_array_equal(a.hidden_labels, b.hidden_labels)
