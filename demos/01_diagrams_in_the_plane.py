@@ -15,8 +15,6 @@ import numpy as np
 from voronoi_tta import (
     ClusterSiteSet,
     InfluenceConfig,
-    PowerSiteSet,
-    SiteSet,
     cipd_assign,
     civd_assign,
     compute_cells_2d,
@@ -30,23 +28,23 @@ OUT.mkdir(exist_ok=True)
 
 rng = np.random.default_rng(7)
 
-# Five sites in the plane; power weights grow with the site index so the
-# later cells visibly swallow territory from the earlier ones.
-sites = SiteSet(rng.normal(0.0, 1.2, size=(5, 2)))
+# Five sites in the plane, one per cell; power weights grow with the site
+# index so the later cells visibly swallow territory from the earlier ones.
+sites = rng.normal(0.0, 1.2, size=(5, 2))
 weights = np.linspace(-0.4, 0.8, 5)
-psites = PowerSiteSet(sites, weights)
+psites = ClusterSiteSet(sites[:, None], weights)
 bbox = (-3.5, 3.5, -3.5, 3.5)
 
 probe = np.array([0.3, -0.2])
 print("probe point:", probe)
-print("  vd cell:", vd_assign(probe, sites))
+print("  vd cell:", vd_assign(probe, psites))
 print("  pd cell:", pd_assign(probe, psites))
 
 # Exact polygonal cells for the point diagrams.
 for name, w in (("vd", np.zeros(5)), ("pd", weights)):
-    cells = compute_cells_2d(PowerSiteSet(sites, w), bbox)
+    cells = compute_cells_2d(ClusterSiteSet(sites[:, None], w), bbox)
     (OUT / f"{name}_cells.svg").write_text(
-        polygons_svg(cells, bbox, points=sites.sites, point_classes=range(5))
+        polygons_svg(cells, bbox, points=sites, point_classes=range(5))
     )
     areas = ["empty" if len(c.vertices) < 3 else f"{len(c.vertices)} verts" for c in cells]
     print(f"{name} cells:", ", ".join(areas))
@@ -55,7 +53,7 @@ for name, w in (("vd", np.zeros(5)), ("pd", weights)):
 # influence of far sites. Boundaries are curved, so sample them on a grid.
 cfg = InfluenceConfig(gamma=-0.8)
 clusters = ClusterSiteSet(
-    sites.sites[:, None, :] + rng.normal(0.0, 0.7, size=(5, 3, 2)), weights
+    sites[:, None, :] + rng.normal(0.0, 0.7, size=(5, 3, 2)), weights
 )
 print("  civd cell:", civd_assign(probe, clusters, cfg))
 print("  cipd cell:", cipd_assign(probe, clusters, cfg))

@@ -20,8 +20,6 @@ from .geometry import (
     ClusterSiteSet,
     InfluenceConfig,
     LogisticHead,
-    PowerSiteSet,
-    SiteSet,
     aggregate_influence,
     cipd_assign,
     cipd_influences,
@@ -47,7 +45,6 @@ from .experiments import (
     sweep_rows,
 )
 from .metrics import (
-    CalibrationConfig,
     DistanceReport,
     adaptation_curve,
     ece,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry
 from .filtering import filter_batch
-from .geometry import ClusterSiteSet, InfluenceConfig, SiteSet
+from .geometry import ClusterSiteSet, InfluenceConfig
 
 Array = np.ndarray
 
@@ -166,25 +166,16 @@ def vd_loss(probs) -> float | Array:
     return float(h) if p.ndim == 1 else h
 
 
-def _as_cluster_set(sites) -> ClusterSiteSet:
-    if isinstance(sites, ClusterSiteSet):
-        return sites
-    if isinstance(sites, SiteSet):
-        return ClusterSiteSet.from_sites(sites)
-    raise TypeError("sites must be a SiteSet or ClusterSiteSet")
-
-
-def mode_scores(features, sites, cfg: AdaptConfig) -> Array:
+def mode_scores(features, c: ClusterSiteSet, cfg: AdaptConfig) -> Array:
     """(n, K) per-class scores for the configured diagram.
 
     VD scores are negated distances to the identity-augmentation sites;
     CIVD/CIPD scores are the cluster influences. Argmax of each row equals
     the corresponding diagram assignment.
     """
-    c = _as_cluster_set(sites)
     z = np.atleast_2d(np.asarray(features, dtype=float))
     if cfg.mode == "vd":
-        return -geometry.vd_distances(z, c.base_sites())
+        return -geometry.vd_distances(z, c)
     if cfg.mode == "civd":
         return geometry.civd_influences(z, c, cfg.influence)
     return geometry.cipd_influences(z, c, cfg.influence)
@@ -204,7 +195,7 @@ def _entropy_and_score_grad(scores: Array, tau: float) -> tuple[Array, Array]:
 
 
 def batch_loss_and_grad(
-    fe: FeatureExtractor, inputs, sites, cfg: AdaptConfig, keep_mask
+    fe: FeatureExtractor, inputs, c: ClusterSiteSet, cfg: AdaptConfig, keep_mask
 ) -> tuple[float, Array, Array]:
     """Mean entropy over kept samples and its exact gradient w.r.t. the
     affine parameters.
@@ -221,7 +212,6 @@ def batch_loss_and_grad(
     if not np.any(keep):
         return 0.0, np.zeros(ell), np.zeros(ell)
 
-    c = _as_cluster_set(sites)
     x = inputs[keep]
     u = x @ fe.frozen_map.T
     z = u * fe.scale + fe.shift
@@ -229,8 +219,8 @@ def batch_loss_and_grad(
     gamma = cfg.influence.gamma
 
     if cfg.mode == "vd":
-        mu = c.base_sites().sites  # (K, ell)
-        d = geometry.site_terms(geometry.squared_distances(z, mu[:, None, :]))[..., 0]
+        mu = c.clusters[:, 0]  # (K, ell), the identity sites
+        d = geometry.site_terms(geometry.squared_distances(z, c.clusters[:, :1]))[..., 0]
         h, g = _entropy_and_score_grad(-d, cfg.tau)
         # dscore/dz = -(z - mu_k)/d_k where the floor is not active.
         w = np.where(d > floor, -g / np.maximum(d, floor), 0.0)
@@ -271,7 +261,7 @@ def adapt_step(fe: FeatureExtractor, grad_scale, grad_shift, learning_rate: floa
     return replace(fe, scale=fe.scale - learning_rate * gs, shift=fe.shift - learning_rate * gb)
 
 
-def run_stream(fe: FeatureExtractor, stream, sites: ClusterSiteSet, cfg: AdaptConfig) -> RunTrace:
+def run_stream(fe: FeatureExtractor, stream, c: ClusterSiteSet, cfg: AdaptConfig) -> RunTrace:
     """Online infer/filter/adapt loop over a sequence of batches.
 
     For each batch in order: features, per-class scores for the configured
@@ -281,9 +271,10 @@ def run_stream(fe: FeatureExtractor, stream, sites: ClusterSiteSet, cfg: AdaptCo
     Hidden labels on the batches are never read here; error columns are
     attached afterwards by the metrics module.
     """
-    c = _as_cluster_set(sites)
     trace = RunTrace(mode=cfg.mode)
     adapting = cfg.learning_rate > 0
+    # The VD filter compares the VD and PD cells of the identity sites.
+    filter_clusters = ClusterSiteSet(c.clusters[:, :1], c.weight_sq) if cfg.mode == "vd" else c
     for t, batch in enumerate(stream):
         inputs = np.atleast_2d(np.asarray(batch.inputs, dtype=float))
         z = forward(fe, inputs)
@@ -293,24 +284,18 @@ def run_stream(fe: FeatureExtractor, stream, sites: ClusterSiteSet, cfg: AdaptCo
         conf = np.max(probs, axis=-1)
 
         if cfg.filtering:
-            filter_clusters = c if cfg.mode != "vd" else ClusterSiteSet.from_sites(
-                c.base_sites(), c.weight_sq
-            )
             keep = filter_batch(z, filter_clusters, cfg.influence).keep_mask
         else:
             keep = np.ones(inputs.shape[0], dtype=bool)
 
-        loss, grad_scale, grad_shift = batch_loss_and_grad(fe, inputs, c, cfg, keep)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at batch {t}")
-        if adapting:
-            fe = adapt_step(fe, grad_scale, grad_shift, cfg.learning_rate)
-            for _ in range(cfg.steps_per_batch - 1):
-                step_loss, grad_scale, grad_shift = batch_loss_and_grad(
-                    fe, inputs, c, cfg, keep
-                )
-                if not np.isfinite(step_loss):
-                    raise DivergenceError(f"non-finite loss at batch {t}")
+        # A frozen run (learning_rate 0) evaluates the loss once and takes no step.
+        for step in range(cfg.steps_per_batch if adapting else 1):
+            step_loss, grad_scale, grad_shift = batch_loss_and_grad(fe, inputs, c, cfg, keep)
+            if not np.isfinite(step_loss):
+                raise DivergenceError(f"non-finite loss at batch {t}")
+            if step == 0:
+                loss = step_loss
+            if adapting:
                 fe = adapt_step(fe, grad_scale, grad_shift, cfg.learning_rate)
 
         trace.records.append(
@@ -333,16 +318,11 @@ def run_stream(fe: FeatureExtractor, stream, sites: ClusterSiteSet, cfg: AdaptCo
 TRACE_COLUMNS = ("batch_index", "mode", "batch_error", "cum_error", "mean_loss", "kept_fraction")
 
 
-def trace_csv_lines(trace: RunTrace, per_sample_kept: bool = False) -> list[str]:
-    """Render a scored trace as CSV lines.
-
-    With ``per_sample_kept`` a trailing column carries the keep mask of each
-    batch as a 0/1 string.
-    """
+def trace_csv_lines(trace: RunTrace) -> list[str]:
+    """Render a scored trace as CSV lines."""
     if not trace.scored:
         raise ValueError("score the trace against labels before serializing")
-    cols = TRACE_COLUMNS + (("kept_flags",) if per_sample_kept else ())
-    lines = [",".join(cols)]
+    lines = [",".join(TRACE_COLUMNS)]
     for r in trace.records:
         row = [
             str(r.batch_index),
@@ -352,8 +332,6 @@ def trace_csv_lines(trace: RunTrace, per_sample_kept: bool = False) -> list[str]
             repr(float(r.mean_loss)),
             repr(float(r.kept_fraction)),
         ]
-        if per_sample_kept:
-            row.append("".join("1" if k else "0" for k in r.keep_mask))
         lines.append(",".join(row))
     return lines
 

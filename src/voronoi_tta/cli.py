@@ -65,30 +65,40 @@ def _parse_values(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
-# key -> (parser, help). Keys double as config-file entries and CLI flags.
+# key -> (parser, help, (section, field)). Keys double as config-file entries
+# and CLI flags; the target names the config field a key sets, so every value
+# not given keeps its dataclass default.
 KEYS = {
-    "out": (str, "output directory"),
-    "seeds": (_parse_seeds, "comma-separated seed list"),
-    "mode": (_parse_modes, "comma-separated mode list (vd, civd, cipd)"),
-    "classes": (int, "number of classes K"),
-    "raw_dim": (int, "raw input dimension (even)"),
-    "feature_dim": (int, "feature dimension"),
-    "n_train_per_class": (int, "source samples per class"),
-    "class_mean_scale": (float, "class mean dispersion"),
-    "class_cov_scale": (float, "within-class standard deviation"),
-    "corruption": (str, f"one of {', '.join(CORRUPTIONS)}"),
-    "severity": (int, "corruption severity 1..5"),
-    "batch_size": (int, "online batch size"),
-    "n_batches": (int, "number of online batches"),
-    "alpha": (_parse_alpha, "Dirichlet label-shift concentration, or 'none'"),
-    "lr": (float, "adaptation learning rate"),
-    "gamma": (float, "influence exponent"),
-    "tau": (float, "softmax temperature"),
-    "distance_floor": (float, "clamp floor for influence terms"),
-    "steps_per_batch": (int, "gradient steps per batch"),
-    "filter": (_parse_filter, "sample filtering: auto, true, or false"),
-    "site_fraction": (float, "fraction of source data used for estimation"),
-    "grid": (int, "render raster resolution"),
+    "out": (str, "output directory", ("spec", "out_dir")),
+    "seeds": (_parse_seeds, "comma-separated seed list", ("spec", "seeds")),
+    "mode": (_parse_modes, "comma-separated mode list (vd, civd, cipd)", ("spec", "modes")),
+    "classes": (int, "number of classes K", ("stream", "n_classes")),
+    "raw_dim": (int, "raw input dimension (even)", ("stream", "raw_dim")),
+    "feature_dim": (int, "feature dimension", ("stream", "feature_dim")),
+    "n_train_per_class": (int, "source samples per class", ("stream", "n_train_per_class")),
+    "class_mean_scale": (float, "class mean dispersion", ("stream", "class_mean_scale")),
+    "class_cov_scale": (float, "within-class standard deviation", ("stream", "class_cov_scale")),
+    "corruption": (str, f"one of {', '.join(CORRUPTIONS)}", ("stream", "corruption")),
+    "severity": (int, "corruption severity 1..5", ("stream", "severity")),
+    "batch_size": (int, "online batch size", ("stream", "batch_size")),
+    "n_batches": (int, "number of online batches", ("stream", "n_batches")),
+    "alpha": (
+        _parse_alpha,
+        "Dirichlet label-shift concentration, or 'none'",
+        ("stream", "label_shift_alpha"),
+    ),
+    "lr": (float, "adaptation learning rate", ("adapt", "learning_rate")),
+    "gamma": (float, "influence exponent", ("influence", "gamma")),
+    "tau": (float, "softmax temperature", ("adapt", "tau")),
+    "distance_floor": (
+        float, "clamp floor for influence terms", ("influence", "distance_floor")
+    ),
+    "steps_per_batch": (int, "gradient steps per batch", ("adapt", "steps_per_batch")),
+    "filter": (_parse_filter, "sample filtering: auto, true, or false", ("spec", "filtering")),
+    "site_fraction": (
+        float, "fraction of source data used for estimation", ("spec", "site_fraction")
+    ),
+    "grid": (int, "render raster resolution", ("spec", "render_grid")),
 }
 
 
@@ -121,38 +131,12 @@ def read_config_file(path: str) -> dict:
 
 
 def build_spec(values: dict) -> ExperimentSpec:
-    stream = StreamConfig(
-        n_classes=values.get("classes", StreamConfig.n_classes),
-        raw_dim=values.get("raw_dim", StreamConfig.raw_dim),
-        feature_dim=values.get("feature_dim", StreamConfig.feature_dim),
-        n_train_per_class=values.get("n_train_per_class", StreamConfig.n_train_per_class),
-        class_mean_scale=values.get("class_mean_scale", StreamConfig.class_mean_scale),
-        class_cov_scale=values.get("class_cov_scale", StreamConfig.class_cov_scale),
-        corruption=values.get("corruption", StreamConfig.corruption),
-        severity=values.get("severity", StreamConfig.severity),
-        batch_size=values.get("batch_size", StreamConfig.batch_size),
-        n_batches=values.get("n_batches", StreamConfig.n_batches),
-        label_shift_alpha=values.get("alpha", StreamConfig.label_shift_alpha),
-    )
-    adapt = AdaptConfig(
-        tau=values.get("tau", AdaptConfig.tau),
-        learning_rate=values.get("lr", AdaptConfig.learning_rate),
-        steps_per_batch=values.get("steps_per_batch", AdaptConfig.steps_per_batch),
-        influence=InfluenceConfig(
-            gamma=values.get("gamma", InfluenceConfig.gamma),
-            distance_floor=values.get("distance_floor", InfluenceConfig.distance_floor),
-        ),
-    )
-    return ExperimentSpec(
-        stream=stream,
-        adapt=adapt,
-        modes=values.get("mode", MODES),
-        seeds=values.get("seeds", (0,)),
-        out_dir=values.get("out", "out"),
-        filtering=values.get("filter", None),
-        site_fraction=values.get("site_fraction", 1.0),
-        render_grid=values.get("grid", 200),
-    )
+    fields = {"stream": {}, "adapt": {}, "influence": {}, "spec": {}}
+    for key, value in values.items():
+        section, name = KEYS[key][2]
+        fields[section][name] = value
+    adapt = AdaptConfig(influence=InfluenceConfig(**fields["influence"]), **fields["adapt"])
+    return ExperimentSpec(stream=StreamConfig(**fields["stream"]), adapt=adapt, **fields["spec"])
 
 
 def collect_values(args: argparse.Namespace) -> dict:
@@ -269,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value configuration file")
-        for key, (_, help_str) in KEYS.items():
+        for key, (_, help_str, _) in KEYS.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=help_str)
         parsers[name] = p
     parsers["sweep"].add_argument(

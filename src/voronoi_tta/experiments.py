@@ -20,7 +20,6 @@ from .adaptation import MODES, AdaptConfig, FeatureExtractor, RunTrace, forward,
 from .filtering import filter_batch
 from .geometry import (
     ClusterSiteSet,
-    PowerSiteSet,
     cipd_assign,
     civd_assign,
     compute_cells_2d,
@@ -118,7 +117,7 @@ def _prepare_source(
     xs, ys = subsample_per_class(x, y, site_fraction, source_cfg.seed)
     fe = FeatureExtractor.seeded(source_cfg.raw_dim, source_cfg.feature_dim, source_cfg.seed)
     clusters = expand_cluster_sites(xs, ys, fe, quarter_rotations(), source_cfg.n_classes)
-    weight_sq = fit_power_weights(xs, ys, fe, clusters.base_sites())
+    weight_sq = fit_power_weights(xs, ys, fe, clusters)
     return fe, clusters.with_weights(weight_sq)
 
 
@@ -234,10 +233,7 @@ def render_diagram(spec: ExperimentSpec, which: str) -> tuple[str, dict]:
 
     extras: dict = {"bbox": bbox, "clusters": clusters}
     if which in ("vd", "pd"):
-        weights = (
-            np.zeros(clusters.n_cells) if which == "vd" else clusters.weight_sq
-        )
-        psites = PowerSiteSet(clusters.base_sites(), weights)
+        psites = clusters if which == "pd" else clusters.with_weights(np.zeros(clusters.n_cells))
         cells = compute_cells_2d(psites, bbox)
         extras["cells"] = cells
         extras["psites"] = psites

@@ -9,6 +9,8 @@ Assignment rules implemented here:
 * Cluster-induced PD (CIPD): same aggregation over power terms
   ``d(mu_k^(a), z)^2 - v_k^2``.
 
+All four read one site type, ``ClusterSiteSet``: VD and PD are its
+``A = 1`` identity slice (site 0 of each cell, with the weights for PD).
 All four, the adaptation gradient and the distance report are computed from
 one squared-distance kernel (``squared_distances``), one term rule
 (``site_terms``) and one clamped aggregate (``aggregate_influence``).
@@ -41,64 +43,15 @@ def _check_points(z, dim: int) -> Array:
 
 
 @dataclass(frozen=True)
-class SiteSet:
-    """K diagram sites (class prototypes) in a common feature space."""
-
-    sites: Array  # (K, dim)
-
-    def __post_init__(self):
-        sites = np.asarray(self.sites, dtype=float)
-        if sites.ndim != 2 or sites.shape[0] < 1:
-            raise ValueError("sites must be a non-empty (K, dim) array")
-        if not np.all(np.isfinite(sites)):
-            raise ValueError("sites must be finite")
-        object.__setattr__(self, "sites", sites)
-
-    @property
-    def n_cells(self) -> int:
-        return self.sites.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.sites.shape[1]
-
-
-@dataclass(frozen=True)
-class PowerSiteSet:
-    """Sites plus signed squared weights v_k^2.
-
-    The stored weight is the squared value: sources such as logistic heads
-    yield negative v_k^2, and the power distance d^2 - v^2 stays well defined
-    either way.
-    """
-
-    base: SiteSet
-    weight_sq: Array  # (K,)
-
-    def __post_init__(self):
-        w = np.asarray(self.weight_sq, dtype=float)
-        if w.shape != (self.base.n_cells,):
-            raise ValueError("need one squared weight per site")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "weight_sq", w)
-
-    @property
-    def n_cells(self) -> int:
-        return self.base.n_cells
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-
-@dataclass(frozen=True)
 class ClusterSiteSet:
     """K clusters of A sites each, with optional per-cluster squared weights.
 
-    Cluster k holds the augmentation-expanded prototypes mu_k^(a); index a=0
-    is the identity augmentation, so ``base_sites`` recovers the plain
-    one-site-per-class SiteSet.
+    This is the only site type. Cluster k holds the augmentation-expanded
+    prototypes mu_k^(a); index a=0 is the identity augmentation, and VD and PD
+    read that identity slice ``clusters[:, :1]``, so plain one-site-per-class
+    sites are ``ClusterSiteSet(sites[:, None])``. The stored weight is the
+    squared value v_k^2: sources such as logistic heads yield negative ones,
+    and the power term d^2 - v^2 stays well defined either way.
     """
 
     clusters: Array  # (K, A, dim)
@@ -134,16 +87,8 @@ class ClusterSiteSet:
     def dim(self) -> int:
         return self.clusters.shape[2]
 
-    def base_sites(self) -> SiteSet:
-        return SiteSet(self.clusters[:, 0, :])
-
     def with_weights(self, weight_sq) -> "ClusterSiteSet":
         return ClusterSiteSet(self.clusters, np.asarray(weight_sq, dtype=float))
-
-    @staticmethod
-    def from_sites(sites: SiteSet, weight_sq=None) -> "ClusterSiteSet":
-        """Wrap plain sites as singleton clusters (A = 1)."""
-        return ClusterSiteSet(sites.sites[:, None, :], weight_sq)
 
 
 @dataclass(frozen=True)
@@ -226,18 +171,24 @@ def aggregate_influence(terms: Array, cfg: InfluenceConfig) -> Array:
     return -np.sign(cfg.gamma) * np.sum(clamped**cfg.gamma, axis=-1)
 
 
-def vd_distances(z, s: SiteSet) -> Array:
-    """Euclidean distance from z to every site."""
-    z = _check_points(z, s.dim)
-    d = site_terms(squared_distances(np.atleast_2d(z), s.sites[:, None, :]))[..., 0]
+def _weights(c: ClusterSiteSet) -> Array:
+    if c.weight_sq is None:
+        raise ValueError("cluster set has no weights")
+    return c.weight_sq
+
+
+def vd_distances(z, c: ClusterSiteSet) -> Array:
+    """Euclidean distance from z to the identity site of every cell."""
+    z = _check_points(z, c.dim)
+    d = site_terms(squared_distances(np.atleast_2d(z), c.clusters[:, :1]))[..., 0]
     return d[0] if z.ndim == 1 else d
 
 
-def pd_power(z, p: PowerSiteSet) -> Array:
-    """Power distance d(z, mu_k)^2 - v_k^2 for every cell."""
-    z = _check_points(z, p.dim)
-    dsq = squared_distances(np.atleast_2d(z), p.base.sites[:, None, :])
-    power = site_terms(dsq, p.weight_sq)[..., 0]
+def pd_power(z, c: ClusterSiteSet) -> Array:
+    """Power distance d(z, mu_k)^2 - v_k^2 to the identity site of every cell."""
+    w = _weights(c)
+    z = _check_points(z, c.dim)
+    power = site_terms(squared_distances(np.atleast_2d(z), c.clusters[:, :1]), w)[..., 0]
     return power[0] if z.ndim == 1 else power
 
 
@@ -255,9 +206,7 @@ def cipd_influences(z, c: ClusterSiteSet, cfg: InfluenceConfig, weight_sq=None) 
     the filter evaluate the zero-weight (unweighted) diagram of the same
     clusters.
     """
-    w = c.weight_sq if weight_sq is None else np.asarray(weight_sq, dtype=float)
-    if w is None:
-        raise ValueError("cluster set has no weights")
+    w = _weights(c) if weight_sq is None else np.asarray(weight_sq, dtype=float)
     if w.shape != (c.n_cells,):
         raise ValueError("need one squared weight per cluster")
     z = _check_points(z, c.dim)
@@ -271,14 +220,14 @@ def cipd_influences(z, c: ClusterSiteSet, cfg: InfluenceConfig, weight_sq=None) 
 # ---------------------------------------------------------------------------
 
 
-def vd_assign(z, s: SiteSet) -> int | Array:
-    d = vd_distances(z, s)
+def vd_assign(z, c: ClusterSiteSet) -> int | Array:
+    d = vd_distances(z, c)
     idx = np.argmin(d, axis=-1)
     return int(idx) if d.ndim == 1 else idx
 
 
-def pd_assign(z, p: PowerSiteSet) -> int | Array:
-    power = pd_power(z, p)
+def pd_assign(z, c: ClusterSiteSet) -> int | Array:
+    power = pd_power(z, c)
     idx = np.argmin(power, axis=-1)
     return int(idx) if power.ndim == 1 else idx
 
@@ -295,16 +244,15 @@ def cipd_assign(z, c: ClusterSiteSet, cfg: InfluenceConfig) -> int | Array:
     return int(idx) if f.ndim == 1 else idx
 
 
-def logistic_to_power(h: LogisticHead) -> PowerSiteSet:
+def logistic_to_power(h: LogisticHead) -> ClusterSiteSet:
     """Convert a logistic head to the power diagram it induces.
 
-    Sites are half the weight rows and the squared weights are
+    Sites (one per cell) are half the weight rows and the squared weights are
     ``bias_k + ||W_k||^2 / 4``; the resulting pd_assign reproduces the
     head's argmax everywhere.
     """
-    mu = h.weights / 2.0
     weight_sq = h.bias + np.sum(h.weights**2, axis=1) / 4.0
-    return PowerSiteSet(SiteSet(mu), weight_sq)
+    return ClusterSiteSet((h.weights / 2.0)[:, None], weight_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -350,27 +298,29 @@ def _dedupe_vertices(poly: Array) -> Array:
     return poly[keep]
 
 
-def compute_cells_2d(p: PowerSiteSet, bbox) -> list[CellPolygon2D]:
-    """Power-diagram cells clipped to an axis-aligned box.
+def compute_cells_2d(c: ClusterSiteSet, bbox) -> list[CellPolygon2D]:
+    """Power-diagram cells of the identity sites clipped to an axis-aligned box.
 
     ``bbox`` is (xmin, xmax, ymin, ymax). Cell k is the intersection of the
     half-planes ``2 (mu_j - mu_k) . z <= |mu_j|^2 - v_j^2 - |mu_k|^2 + v_k^2``
     over all j != k, clipped to the box; the K polygons tile the box up to
-    shared edges. Only dimension-2 site sets are supported.
+    shared edges. Zero weights give the Voronoi cells. Only weighted
+    dimension-2 site sets are supported.
     """
-    if p.dim != 2:
+    if c.dim != 2:
         raise ValueError("compute_cells_2d requires 2-D sites")
+    w = _weights(c)
     xmin, xmax, ymin, ymax = (float(v) for v in bbox)
     if not (xmin < xmax and ymin < ymax):
         raise ValueError("bounding box must have positive extent")
     box = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]])
-    mu = p.base.sites
-    norm_less_w = np.einsum("kd,kd->k", mu, mu) - p.weight_sq
+    mu = c.clusters[:, 0]
+    norm_less_w = np.einsum("kd,kd->k", mu, mu) - w
 
     cells = []
-    for k in range(p.n_cells):
+    for k in range(c.n_cells):
         poly = box
-        for j in range(p.n_cells):
+        for j in range(c.n_cells):
             if j == k or len(poly) == 0:
                 continue
             a = 2.0 * (mu[j] - mu[k])

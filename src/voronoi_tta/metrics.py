@@ -23,16 +23,8 @@ from .streams import AugmentationFamily
 
 Array = np.ndarray
 
-
-@dataclass(frozen=True)
-class CalibrationConfig:
-    """Equal-width confidence binning on [0, 1]."""
-
-    n_bins: int = 10
-
-    def __post_init__(self):
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be at least 1")
+# ece bins confidences into this many equal-width bins on [0, 1].
+ECE_BINS = 10
 
 
 def error_rate(predictions, labels) -> float:
@@ -44,7 +36,7 @@ def error_rate(predictions, labels) -> float:
     return float(np.mean(p != y))
 
 
-def ece(confidences, correctness, cfg: CalibrationConfig = CalibrationConfig()) -> float:
+def ece(confidences, correctness) -> float:
     """Expected calibration error with equal-width bins over max-probability
     confidence.
 
@@ -57,11 +49,11 @@ def ece(confidences, correctness, cfg: CalibrationConfig = CalibrationConfig()) 
         raise ValueError("confidences and correctness must be equal-length and nonempty")
     if np.any(conf < 0) or np.any(conf > 1):
         raise ValueError("confidences must lie in [0, 1]")
-    inner_edges = np.linspace(0.0, 1.0, cfg.n_bins + 1)[1:-1]
+    inner_edges = np.linspace(0.0, 1.0, ECE_BINS + 1)[1:-1]
     bins = np.digitize(conf, inner_edges, right=True)
     total = 0.0
     n = conf.size
-    for b in range(cfg.n_bins):
+    for b in range(ECE_BINS):
         mask = bins == b
         n_b = int(np.sum(mask))
         if n_b == 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import DivergenceError, FeatureExtractor, forward
-from .geometry import ClusterSiteSet, LogisticHead, SiteSet, logistic_to_power
+from .geometry import ClusterSiteSet, LogisticHead, logistic_to_power
 
 Array = np.ndarray
 
@@ -284,7 +284,7 @@ def fit_logistic_head(
     return LogisticHead(w, b)
 
 
-def fit_power_weights(x, y, fe: FeatureExtractor, sites: SiteSet) -> Array:
+def fit_power_weights(x, y, fe: FeatureExtractor, sites: ClusterSiteSet) -> Array:
     """Per-class squared power weights from a source-fit logistic head.
 
     The head is fit on the clean training features and converted to its power

@@ -35,8 +35,6 @@ from voronoi_tta.geometry import (
     ClusterSiteSet,
     InfluenceConfig,
     LogisticHead,
-    PowerSiteSet,
-    SiteSet,
     cipd_assign,
     civd_assign,
     logistic_to_power,
@@ -124,11 +122,13 @@ def test_01_geometry_oracle_suite():
             clusters = rng.normal(size=(k, 4, dim)) * 1.5
 
             d = brute_distances(pts, sites)
-            assert np.array_equal(vd_assign(pts, SiteSet(sites)), np.argmin(d, axis=1))
+            assert np.array_equal(
+                vd_assign(pts, ClusterSiteSet(sites[:, None])), np.argmin(d, axis=1)
+            )
 
             power = d**2 - w[None, :]
             assert np.array_equal(
-                pd_assign(pts, PowerSiteSet(SiteSet(sites), w)), np.argmin(power, axis=1)
+                pd_assign(pts, ClusterSiteSet(sites[:, None], w)), np.argmin(power, axis=1)
             )
 
             fi = brute_influences(pts, clusters, CFG.gamma, CFG.distance_floor)
@@ -156,15 +156,15 @@ def test_02_reduction_identities():
     rng = np.random.default_rng(1002)
     n = 10_000
     sites = rng.normal(size=(6, 5)) * 2.0
-    s = SiteSet(sites)
+    s = ClusterSiteSet(sites[:, None])
     pts = rng.normal(size=(n, 5)) * 2.0
     base = vd_assign(pts, s)
 
     for w in (-1.5, 0.0, 2.0):
-        p = PowerSiteSet(s, np.full(6, w))
+        p = ClusterSiteSet(sites[:, None], np.full(6, w))
         assert np.array_equal(pd_assign(pts, p), base)
 
-    singleton = ClusterSiteSet.from_sites(s)
+    singleton = ClusterSiteSet(sites[:, None])
     for gamma in (-0.8, 1.0, 2.0):
         cfg = InfluenceConfig(gamma=gamma)
         assert np.array_equal(civd_assign(pts, singleton, cfg), base)

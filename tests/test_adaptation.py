@@ -19,7 +19,6 @@ from voronoi_tta.adaptation import (
 from voronoi_tta.geometry import (
     ClusterSiteSet,
     InfluenceConfig,
-    SiteSet,
     cipd_assign,
     civd_assign,
     vd_assign,
@@ -188,7 +187,7 @@ def test_all_filtered_gives_zero_loss_and_grad():
 def test_sample_at_site_contributes_no_vd_gradient_through_clamp():
     # one sample exactly at a site: the clamped distance term is a constant
     fe = FeatureExtractor(np.eye(2), np.ones(2), np.zeros(2))
-    sites = SiteSet(np.array([[1.0, 1.0], [-1.0, -1.0]]))
+    sites = ClusterSiteSet(np.array([[1.0, 1.0], [-1.0, -1.0]])[:, None])
     x = np.array([[1.0, 1.0]])
     loss, gs, gb = batch_loss_and_grad(
         fe, x, sites, AdaptConfig(mode="vd"), np.array([True])
@@ -277,7 +276,7 @@ def test_predictions_match_diagram_assignments(mode):
     for record, batch in zip(trace.records, stream):
         z = forward(fe_t, batch.inputs)
         if mode == "vd":
-            want = vd_assign(z, clusters.base_sites())
+            want = vd_assign(z, clusters)
         elif mode == "civd":
             want = civd_assign(z, clusters, cfg.influence)
         else:
@@ -338,8 +337,6 @@ def test_trace_csv_round_trip():
     with pytest.raises(ValueError):
         trace_csv_lines(trace)  # unscored
     score_trace(trace, stream)
-    lines = trace_csv_lines(trace, per_sample_kept=True)
-    assert lines[0].startswith("batch_index,mode,batch_error,cum_error,mean_loss,kept_fraction")
+    lines = trace_csv_lines(trace)
+    assert lines[0] == "batch_index,mode,batch_error,cum_error,mean_loss,kept_fraction"
     assert len(lines) == 4
-    flags = lines[1].split(",")[-1]
-    assert set(flags) <= {"0", "1"} and len(flags) == 12

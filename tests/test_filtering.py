@@ -5,7 +5,7 @@ import pytest
 
 from voronoi_tta.adaptation import AdaptConfig, batch_loss_and_grad, FeatureExtractor
 from voronoi_tta.filtering import filter_batch
-from voronoi_tta.geometry import ClusterSiteSet, InfluenceConfig, SiteSet, cipd_influences
+from voronoi_tta.geometry import ClusterSiteSet, InfluenceConfig, cipd_influences
 
 CFG = InfluenceConfig(gamma=-0.8)
 
@@ -20,8 +20,7 @@ def test_zero_weights_keep_everything():
 
 
 def test_hand_example_excludes_boundary_sample():
-    sites = SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    c = ClusterSiteSet.from_sites(sites, np.array([0.0, 0.5]))
+    c = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.array([0.0, 0.5]))
     report = filter_batch(np.array([[0.95, 0.0], [0.2, 0.0]]), c, CFG)
     assert list(report.keep_mask) == [False, True]
     assert report.kept_fraction == 0.5

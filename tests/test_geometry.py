@@ -12,8 +12,6 @@ from voronoi_tta.geometry import (
     ClusterSiteSet,
     InfluenceConfig,
     LogisticHead,
-    PowerSiteSet,
-    SiteSet,
     cipd_assign,
     cipd_influences,
     civd_assign,
@@ -64,9 +62,9 @@ def argmin_first(values):
 # --- vd ---
 
 def test_vd_distances_hand_values():
-    s = SiteSet(np.array([[0.0, 0.0], [3.0, 4.0]]))
+    s = ClusterSiteSet(np.array([[0.0, 0.0], [3.0, 4.0]])[:, None])
     np.testing.assert_allclose(vd_distances(np.array([0.0, 0.0]), s), [0.0, 5.0])
-    s2 = SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    s2 = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None])
     np.testing.assert_allclose(vd_distances(np.array([1.0, 0.0]), s2), [1.0, 1.0])
 
 
@@ -75,13 +73,13 @@ def test_vd_distances_random_oracle():
     for _ in range(50):
         z = rng.normal(size=3)
         sites = rng.normal(size=(5, 3))
-        got = vd_distances(z, SiteSet(sites))
+        got = vd_distances(z, ClusterSiteSet(sites[:, None]))
         want = [dist_oracle(z, site) for site in sites]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_vd_assign_tie_breaks_low_index():
-    s = SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    s = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None])
     assert vd_assign(np.array([0.5, 0.0]), s) == 0
     assert vd_assign(np.array([1.0, 0.0]), s) == 0  # exact tie
 
@@ -89,7 +87,7 @@ def test_vd_assign_tie_breaks_low_index():
 def test_vd_assign_brute_force():
     rng = np.random.default_rng(1)
     sites = rng.normal(size=(8, 4))
-    s = SiteSet(sites)
+    s = ClusterSiteSet(sites[:, None])
     z = rng.normal(size=(1000, 4))
     got = vd_assign(z, s)
     want = [argmin_first([dist_oracle(p, site) for site in sites]) for p in z]
@@ -97,7 +95,7 @@ def test_vd_assign_brute_force():
 
 
 def test_vd_dimension_mismatch():
-    s = SiteSet(np.array([[0.0, 0.0]]))
+    s = ClusterSiteSet(np.array([[0.0, 0.0]])[:, None])
     with pytest.raises(ValueError):
         vd_distances(np.array([1.0, 2.0, 3.0]), s)
 
@@ -105,14 +103,13 @@ def test_vd_dimension_mismatch():
 # --- pd ---
 
 def test_pd_reduces_to_vd_with_zero_weights():
-    s = SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    p = PowerSiteSet(s, np.zeros(2))
+    p = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.zeros(2))
     assert pd_assign(np.array([0.5, 0.0]), p) == 0
 
 
 def test_pd_hand_power_values():
-    s = SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    p = PowerSiteSet(s, np.array([0.0, 2.0]))  # v = (0, sqrt 2)
+    # v = (0, sqrt 2)
+    p = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.array([0.0, 2.0]))
     np.testing.assert_allclose(pd_power(np.array([1.0, 0.0]), p), [1.0, -1.0])
     assert pd_assign(np.array([1.0, 0.0]), p) == 1
 
@@ -121,7 +118,7 @@ def test_pd_assign_brute_force():
     rng = np.random.default_rng(2)
     sites = rng.normal(size=(6, 3))
     w = rng.normal(size=6)
-    p = PowerSiteSet(SiteSet(sites), w)
+    p = ClusterSiteSet(sites[:, None], w)
     z = rng.normal(size=(500, 3))
     got = pd_assign(z, p)
     want = [
@@ -134,10 +131,10 @@ def test_pd_assign_brute_force():
 def test_pd_equal_weights_equals_vd_for_any_offset():
     rng = np.random.default_rng(3)
     sites = rng.normal(size=(5, 4))
-    s = SiteSet(sites)
+    s = ClusterSiteSet(sites[:, None])
     z = rng.normal(size=(300, 4))
     for w in (-2.0, 0.0, 3.7):
-        p = PowerSiteSet(s, np.full(5, w))
+        p = ClusterSiteSet(sites[:, None], np.full(5, w))
         assert np.array_equal(pd_assign(z, p), vd_assign(z, s))
 
 
@@ -167,8 +164,7 @@ def test_civd_influence_random_oracle():
 
 
 def test_civd_singleton_reduces_to_vd():
-    s = SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    c = ClusterSiteSet.from_sites(s)
+    c = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None])
     assert civd_assign(np.array([0.5, 0.0]), c, CFG) == 0
 
 
@@ -231,9 +227,9 @@ def test_cipd_influence_random_oracle():
 def test_cipd_zero_weights_singleton_matches_vd():
     rng = np.random.default_rng(7)
     sites = rng.normal(size=(5, 3))
-    c = ClusterSiteSet.from_sites(SiteSet(sites), np.zeros(5))
+    c = ClusterSiteSet(sites[:, None], np.zeros(5))
     z = rng.normal(size=(200, 3))
-    assert np.array_equal(cipd_assign(z, c, CFG), vd_assign(z, SiteSet(sites)))
+    assert np.array_equal(cipd_assign(z, c, CFG), vd_assign(z, ClusterSiteSet(sites[:, None])))
 
 
 def test_cipd_dominant_weight_wins_everywhere():
@@ -264,6 +260,12 @@ def test_cipd_requires_weights():
     c = ClusterSiteSet(np.zeros((2, 1, 2)))
     with pytest.raises(ValueError):
         cipd_assign(np.array([0.0, 0.0]), c, CFG)
+    # so do the power diagram of the identity sites and its 2-D cells
+    for weighted_op in (pd_power, pd_assign):
+        with pytest.raises(ValueError, match="no weights"):
+            weighted_op(np.array([0.0, 0.0]), c)
+    with pytest.raises(ValueError, match="no weights"):
+        compute_cells_2d(c, (-1, 1, -1, 1))
 
 
 # --- lemma conversion ---
@@ -271,11 +273,11 @@ def test_cipd_requires_weights():
 def test_logistic_to_power_hand_values():
     h = LogisticHead(np.array([[2.0, 0.0]]), np.array([0.0]))
     p = logistic_to_power(h)
-    np.testing.assert_allclose(p.base.sites, [[1.0, 0.0]])
+    np.testing.assert_allclose(p.clusters[:, 0], [[1.0, 0.0]])
     np.testing.assert_allclose(p.weight_sq, [1.0])
 
     zero = logistic_to_power(LogisticHead(np.zeros((3, 2)), np.zeros(3)))
-    np.testing.assert_allclose(zero.base.sites, np.zeros((3, 2)))
+    np.testing.assert_allclose(zero.clusters[:, 0], np.zeros((3, 2)))
     np.testing.assert_allclose(zero.weight_sq, np.zeros(3))
 
 
@@ -303,14 +305,12 @@ def test_disagreement_false_for_zero_weights():
 
 
 def test_disagreement_hand_example():
-    sites = SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    c = ClusterSiteSet.from_sites(sites, np.array([0.0, 0.5]))
+    c = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.array([0.0, 0.5]))
     assert disagrees(np.array([[0.95, 0.0], [0.2, 0.0]]), c).tolist() == [True, False]
 
 
 def test_disagreement_false_deep_inside_cell():
-    sites = SiteSet(np.array([[0.0, 0.0], [10.0, 0.0]]))
-    c = ClusterSiteSet.from_sites(sites, np.array([0.0, 0.5]))
+    c = ClusterSiteSet(np.array([[0.0, 0.0], [10.0, 0.0]])[:, None], np.array([0.0, 0.5]))
     assert disagrees(np.array([-3.0, 0.0]), c).tolist() == [False]
 
 
@@ -327,7 +327,7 @@ def point_in_convex(poly, p, tol=1e-9):
 
 
 def test_cells_two_sites_bisector():
-    p = PowerSiteSet(SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])), np.zeros(2))
+    p = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.zeros(2))
     cells = compute_cells_2d(p, (-1, 3, -1, 1))
     for cell in cells:
         assert isinstance(cell, CellPolygon2D)
@@ -340,7 +340,7 @@ def test_cells_two_sites_bisector():
 
 
 def test_cells_weight_shifts_boundary():
-    p = PowerSiteSet(SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])), np.array([0.0, 2.0]))
+    p = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.array([0.0, 2.0]))
     cells = compute_cells_2d(p, (-1, 3, -1, 1))
     assert cells[0].vertices[:, 0].max() == pytest.approx(0.5)
     assert cells[1].vertices[:, 0].min() == pytest.approx(0.5)
@@ -348,7 +348,7 @@ def test_cells_weight_shifts_boundary():
 
 def test_cells_membership_and_tiling():
     rng = np.random.default_rng(13)
-    p = PowerSiteSet(SiteSet(rng.normal(size=(6, 2)) * 2.0), rng.normal(size=6) * 0.5)
+    p = ClusterSiteSet(rng.normal(size=(6, 1, 2)) * 2.0, rng.normal(size=6) * 0.5)
     bbox = (-5.0, 5.0, -5.0, 5.0)
     cells = compute_cells_2d(p, bbox)
     pts = np.column_stack(
@@ -363,7 +363,7 @@ def test_cells_membership_and_tiling():
 
 def test_cells_interior_points_get_their_cell():
     rng = np.random.default_rng(17)
-    p = PowerSiteSet(SiteSet(rng.normal(size=(5, 2)) * 2.0), rng.normal(size=5) * 0.4)
+    p = ClusterSiteSet(rng.normal(size=(5, 1, 2)) * 2.0, rng.normal(size=5) * 0.4)
     bbox = (-5.0, 5.0, -5.0, 5.0)
     for cell in compute_cells_2d(p, bbox):
         if len(cell.vertices) < 3:
@@ -375,9 +375,10 @@ def test_cells_interior_points_get_their_cell():
 
 
 def test_cells_require_two_dimensions():
-    p = PowerSiteSet(SiteSet(np.zeros((2, 3))), np.zeros(2))
-    with pytest.raises(ValueError):
-        compute_cells_2d(p, (-1, 1, -1, 1))
+    for n_sites in (1, 4):
+        p = ClusterSiteSet(np.zeros((2, n_sites, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="2-D"):
+            compute_cells_2d(p, (-1, 1, -1, 1))
 
 
 # --- shared properties ---
@@ -397,9 +398,9 @@ def test_vd_assign_scale_covariance():
     rng = np.random.default_rng(15)
     sites = rng.normal(size=(5, 3))
     z = rng.normal(size=(200, 3))
-    base = vd_assign(z, SiteSet(sites))
+    base = vd_assign(z, ClusterSiteSet(sites[:, None]))
     for c in (0.1, 7.3):
-        assert np.array_equal(vd_assign(c * z, SiteSet(c * sites)), base)
+        assert np.array_equal(vd_assign(c * z, ClusterSiteSet(c * sites[:, None])), base)
 
 
 def test_influences_batch_matches_single():
@@ -421,7 +422,7 @@ def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         InfluenceConfig(distance_floor=0.0)
     with pytest.raises(ValueError):
-        SiteSet(np.array([[np.inf, 0.0]]))
+        ClusterSiteSet(np.array([[np.inf, 0.0]])[:, None])
 
 
 # --- properties of the shared kernel, against the per-site loop oracle ---
@@ -449,11 +450,11 @@ def cluster_problems(draw):
 def test_kernels_match_per_site_loop(problem):
     clusters, z, w, cfg = problem
     c = ClusterSiteSet(clusters, w)
-    sites = c.base_sites()
     civd = civd_influences(z, c, cfg)
     cipd = cipd_influences(z, c, cfg)
-    vd = vd_distances(z, sites)
-    pd = pd_power(z, PowerSiteSet(sites, w))
+    # VD and PD read only site 0 of each cluster, whatever A is
+    vd = vd_distances(z, c)
+    pd = pd_power(z, c)
     floor = cfg.distance_floor
     for i, p in enumerate(z):
         for k, cluster in enumerate(clusters):
@@ -513,13 +514,10 @@ def test_ties_go_to_the_lowest_index(problem):
     doubled = ClusterSiteSet(np.concatenate([clusters, clusters]), np.concatenate([w, w]))
     assert np.array_equal(civd_assign(z, doubled, cfg), civd_assign(z, c, cfg))
     assert np.array_equal(cipd_assign(z, doubled, cfg), cipd_assign(z, c, cfg))
-    assert np.array_equal(vd_assign(z, doubled.base_sites()), vd_assign(z, c.base_sites()))
-    assert np.array_equal(
-        pd_assign(z, PowerSiteSet(doubled.base_sites(), doubled.weight_sq)),
-        pd_assign(z, PowerSiteSet(c.base_sites(), w)),
-    )
+    assert np.array_equal(vd_assign(z, doubled), vd_assign(z, c))
+    assert np.array_equal(pd_assign(z, doubled), pd_assign(z, c))
     # exact squared distances: the VD/PD argmin is the oracle's first minimum
-    for p, got in zip(z, vd_assign(z, c.base_sites())):
+    for p, got in zip(z, vd_assign(z, c)):
         assert got == argmin_first([sqdist_oracle(p, site) for site in clusters[:, 0]])
-    for p, got in zip(z, pd_assign(z, PowerSiteSet(c.base_sites(), w))):
+    for p, got in zip(z, pd_assign(z, c)):
         assert got == argmin_first([sqdist_oracle(p, s) - wk for s, wk in zip(clusters[:, 0], w)])

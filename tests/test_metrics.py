@@ -6,7 +6,6 @@ import pytest
 from voronoi_tta.adaptation import AdaptConfig, FeatureExtractor, forward, run_stream
 from voronoi_tta.geometry import ClusterSiteSet, InfluenceConfig, civd_influences
 from voronoi_tta.metrics import (
-    CalibrationConfig,
     adaptation_curve,
     distance_report_csv_lines,
     ece,
@@ -70,8 +69,7 @@ def test_ece_matches_brute_force_binning():
     rng = np.random.default_rng(2)
     conf = rng.uniform(0, 1, 400)
     correct = rng.integers(0, 2, 400)
-    cfg = CalibrationConfig(n_bins=10)
-    got = ece(conf, correct, cfg)
+    got = ece(conf, correct)
     # independent accounting with (lo, hi] bins, 1.0 in the top bin
     total = 0.0
     for b in range(10):
@@ -108,8 +106,6 @@ def test_ece_perfectly_calibrated_by_construction():
 def test_ece_rejects_out_of_range():
     with pytest.raises(ValueError):
         ece(np.array([1.2]), np.array([1]))
-    with pytest.raises(ValueError):
-        CalibrationConfig(n_bins=0)
 
 
 # --- trace scoring and curves ---

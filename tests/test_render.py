@@ -6,9 +6,8 @@ import pytest
 from voronoi_tta.adaptation import AdaptConfig
 from voronoi_tta.experiments import ExperimentSpec, render_diagram
 from voronoi_tta.geometry import (
+    ClusterSiteSet,
     InfluenceConfig,
-    PowerSiteSet,
-    SiteSet,
     cipd_assign,
     civd_assign,
     pd_assign,
@@ -34,7 +33,7 @@ def small_spec(**stream_overrides):
 
 
 def test_polygon_svg_contains_cells_and_scatter():
-    p = PowerSiteSet(SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])), np.zeros(2))
+    p = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.zeros(2))
     from voronoi_tta.geometry import compute_cells_2d
 
     cells = compute_cells_2d(p, (-1, 3, -1, 1))
@@ -56,8 +55,8 @@ def test_raster_svg_rle_merges_rows():
 
 
 def test_assignment_grid_pixel_centers():
-    sites = SiteSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    grid, xs, ys = assignment_grid(lambda pts: pd_assign(pts, PowerSiteSet(sites, np.zeros(2))), (-1, 3, -1, 1), 8, 4)
+    sites = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.zeros(2))
+    grid, xs, ys = assignment_grid(lambda pts: pd_assign(pts, sites), (-1, 3, -1, 1), 8, 4)
     assert grid.shape == (4, 8)
     # everything left of x = 1 belongs to cell 0
     for j, x in enumerate(xs):

@@ -91,8 +91,8 @@ def make_extractor(cfg, seed=0):
 
 
 def identity_sites(x, y, fe, n_classes):
-    """Per-class mean features: the identity-view sites."""
-    return expand_cluster_sites(x, y, fe, AugmentationFamily((0.0,)), n_classes).base_sites()
+    """Per-class mean features: the identity-view sites, one per cell."""
+    return expand_cluster_sites(x, y, fe, AugmentationFamily((0.0,)), n_classes)
 
 
 def test_one_sample_per_class_sites_equal_features():
@@ -102,7 +102,7 @@ def test_one_sample_per_class_sites_equal_features():
     x, y = gen_source(cfg)
     fe = make_extractor(cfg)
     sites = identity_sites(x, y, fe, cfg.n_classes)
-    np.testing.assert_allclose(sites.sites, forward(fe, x))
+    np.testing.assert_allclose(sites.clusters[:, 0], forward(fe, x))
 
 
 def test_duplicated_dataset_gives_identical_sites():
@@ -110,7 +110,7 @@ def test_duplicated_dataset_gives_identical_sites():
     fe = make_extractor(SMALL)
     a = identity_sites(x, y, fe, SMALL.n_classes)
     b = identity_sites(np.vstack([x, x]), np.concatenate([y, y]), fe, SMALL.n_classes)
-    np.testing.assert_allclose(a.sites, b.sites)
+    np.testing.assert_allclose(a.clusters, b.clusters)
 
 
 def test_missing_class_rejected():
