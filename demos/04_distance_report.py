@@ -13,7 +13,7 @@ import numpy as np
 
 from voronoi_tta import FeatureExtractor, StreamConfig
 from voronoi_tta.metrics import distance_report_csv_lines, sample_distance_report
-from voronoi_tta.streams import expand_cluster_sites, gen_source, gen_stream, quarter_rotations
+from voronoi_tta.streams import VIEW_ANGLES, expand_cluster_sites, gen_source, gen_stream
 
 cfg = StreamConfig(
     n_classes=5, raw_dim=6, feature_dim=8, n_train_per_class=500,
@@ -22,13 +22,12 @@ cfg = StreamConfig(
 )
 x, y = gen_source(cfg)
 fe = FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, 6)
-fam = quarter_rotations()
-clusters = expand_cluster_sites(x, y, fe, fam, cfg.n_classes)
+clusters = expand_cluster_sites(x, y, fe, cfg.n_classes)
 
 rescued = None
 for batch in gen_stream(cfg):
     for sample, label in zip(batch.inputs, batch.hidden_labels):
-        report = sample_distance_report(sample, fe, clusters, fam)
+        report = sample_distance_report(sample, fe, clusters)
         if report.aggregate_pred == label and report.per_rotation_pred[0] != label:
             rescued = (report, label)
             break
@@ -42,9 +41,9 @@ print(f"views disagree: {report.rotations_disagree}; "
       f"aggregation overrides the identity view: {report.aggregation_overrides}")
 print()
 print("view \\ class " + "".join(f"  d(k={k})" for k in range(cfg.n_classes)))
-for alpha in range(fam.size):
-    row = "".join(f"  {d:6.2f}" for d in report.distances[alpha])
-    print(f"  {int(fam.angles_deg[alpha]):3d} deg  {row}")
+for angle, dists in zip(VIEW_ANGLES, report.distances):
+    row = "".join(f"  {d:6.2f}" for d in dists)
+    print(f"  {int(angle):3d} deg  {row}")
 print("influence " + "".join(f"  {f:6.2f}" for f in report.influences))
 print()
 print("CSV form, first rows:")

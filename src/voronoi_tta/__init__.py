@@ -53,15 +53,15 @@ from .metrics import (
     score_trace,
 )
 from .streams import (
-    AugmentationFamily,
+    VIEW_ANGLES,
     Batch,
     StreamConfig,
     expand_cluster_sites,
+    feature_views,
     fit_logistic_head,
     fit_power_weights,
     gen_source,
     gen_stream,
-    quarter_rotations,
     subsample_per_class,
 )
 

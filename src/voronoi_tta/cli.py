@@ -165,8 +165,8 @@ def write_atomic(path: Path, text: str):
 
 def _spec_dict(spec: ExperimentSpec) -> dict:
     d = asdict(spec)
-    d["modes"] = list(spec.modes)
-    d["seeds"] = list(spec.seeds)
+    # run_single sets these per run; config.modes and config.filtering say what ran.
+    del d["adapt"]["mode"], d["adapt"]["filtering"]
     return d
 
 

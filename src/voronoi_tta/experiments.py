@@ -31,7 +31,6 @@ from .streams import (
     fit_power_weights,
     gen_source,
     gen_stream,
-    quarter_rotations,
     subsample_per_class,
 )
 from .svg import assignment_grid, polygons_svg, raster_svg
@@ -60,8 +59,10 @@ class ExperimentSpec:
     render_grid: int = 200
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        for name in ("seeds", "modes"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name} must be nonempty and distinct, got {list(values)}")
         for seed in self.seeds:
             if not (isinstance(seed, (int, np.integer)) and seed >= 0):
                 raise ValueError(f"seeds must be non-negative integers, got {seed!r}")
@@ -116,8 +117,8 @@ def _prepare_source(
     x, y = gen_source(source_cfg)
     xs, ys = subsample_per_class(x, y, site_fraction, source_cfg.seed)
     fe = FeatureExtractor.seeded(source_cfg.raw_dim, source_cfg.feature_dim, source_cfg.seed)
-    clusters = expand_cluster_sites(xs, ys, fe, quarter_rotations(), source_cfg.n_classes)
-    weight_sq = fit_power_weights(xs, ys, fe, clusters)
+    clusters = expand_cluster_sites(xs, ys, fe, source_cfg.n_classes)
+    weight_sq = fit_power_weights(xs, ys, fe, source_cfg.n_classes)
     return fe, clusters.with_weights(weight_sq)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptation import FeatureExtractor, RunTrace, forward
+from .adaptation import FeatureExtractor, RunTrace
 from .geometry import (
     ClusterSiteSet,
     InfluenceConfig,
@@ -19,7 +19,7 @@ from .geometry import (
     site_terms,
     squared_distances,
 )
-from .streams import AugmentationFamily
+from .streams import VIEW_ANGLES, feature_views
 
 Array = np.ndarray
 
@@ -91,7 +91,7 @@ def adaptation_curve(trace: RunTrace) -> list[tuple[int, float]]:
 
 
 # ---------------------------------------------------------------------------
-# Per-sample distance analysis across augmentations.
+# Per-sample distance analysis across views.
 # ---------------------------------------------------------------------------
 
 
@@ -119,18 +119,17 @@ def sample_distance_report(
     x,
     fe: FeatureExtractor,
     c: ClusterSiteSet,
-    fam: AugmentationFamily,
     cfg: InfluenceConfig = InfluenceConfig(),
 ) -> DistanceReport:
-    """Distance table of one raw input across all augmented views."""
+    """Distance table of one raw input across all views in VIEW_ANGLES."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("expected a single raw input vector")
-    if fam.size != c.n_sites_per_cluster:
-        raise ValueError("augmentation family size does not match the clusters")
-    views = np.stack([forward(fe, fam.apply(alpha, x)) for alpha in range(fam.size)])
+    if c.n_sites_per_cluster != len(VIEW_ANGLES):
+        raise ValueError("clusters need one site per view in VIEW_ANGLES")
+    views = np.stack(list(feature_views(fe, x)))
     # View a is matched with site a of every cluster: the (a, k, a) entries.
-    matched = np.arange(fam.size)
+    matched = np.arange(len(VIEW_ANGLES))
     distances = site_terms(squared_distances(views, c.clusters)[matched, :, matched])  # (A, K)
     influences = aggregate_influence(distances.T, cfg)
     per_rotation_pred = np.argmin(distances, axis=1)

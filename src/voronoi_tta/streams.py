@@ -1,11 +1,13 @@
 """Synthetic source data, corrupted online streams, and site estimation.
 
 Raw inputs are Gaussian class clusters in an even dimension m, viewed as m/2
-coordinate pairs so that the rotation augmentations are exact planar
-rotations applied pairwise. Test streams draw per-batch class proportions
-from a Dirichlet distribution when label shift is requested, corrupt the
-inputs (never the training data used for site estimation), and expose the
-ground-truth labels only for scoring.
+coordinate pairs so that the views in ``VIEW_ANGLES`` are exact planar
+rotations applied pairwise; view 0 is the identity. Test streams draw
+per-batch class proportions from a Dirichlet distribution when label shift is
+requested, corrupt the inputs (never the training data used for site
+estimation), and expose the ground-truth labels only for scoring. The views
+and the logistic fit that defines the power weights are module constants, not
+options.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from .geometry import ClusterSiteSet, LogisticHead, logistic_to_power
 Array = np.ndarray
 
 CORRUPTIONS = ("none", "gaussian_noise", "scale_drift", "rotation_drift", "shift_drift")
+
+# Each view rotates every (x, y) coordinate pair of an input by this many
+# degrees; quarter turns are exact. Cluster k holds one site per view.
+VIEW_ANGLES = (0.0, 90.0, 180.0, 270.0)
 
 # Seed-sequence tags keeping the independent generators decoupled.
 _TAG_MEANS = 10
@@ -58,6 +64,8 @@ class StreamConfig:
             raise ValueError("need at least two classes")
         if self.raw_dim < 2 or self.raw_dim % 2 != 0:
             raise ValueError("raw_dim must be even (inputs are coordinate pairs)")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.batch_size < 1 or self.n_batches < 0:
             raise ValueError("batch_size must be >= 1 and n_batches >= 0")
         if self.n_train_per_class < 1:
@@ -89,33 +97,6 @@ class Batch:
             raise ValueError("inputs and hidden_labels lengths must match")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "hidden_labels", y)
-
-
-@dataclass(frozen=True)
-class AugmentationFamily:
-    """Deterministic invertible input transforms; the first is the identity.
-
-    Each angle rotates every (x, y) coordinate pair of the input by that many
-    degrees. Quarter turns are computed exactly.
-    """
-
-    angles_deg: tuple = (0.0, 90.0, 180.0, 270.0)
-
-    def __post_init__(self):
-        if len(self.angles_deg) < 1 or self.angles_deg[0] != 0.0:
-            raise ValueError("first transform must be the identity (0 degrees)")
-
-    @property
-    def size(self) -> int:
-        return len(self.angles_deg)
-
-    def apply(self, alpha: int, x) -> Array:
-        x = np.asarray(x, dtype=float)
-        return _rotate_pairs(x, self.angles_deg[alpha])
-
-
-def quarter_rotations() -> AugmentationFamily:
-    return AugmentationFamily((0.0, 90.0, 180.0, 270.0))
 
 
 def _rotate_pairs(x: Array, angle_deg: float) -> Array:
@@ -231,38 +212,38 @@ def _check_classes(y: Array, n_classes: int):
         raise ValueError(f"training set is missing classes {missing}")
 
 
-def expand_cluster_sites(
-    x, y, fe: FeatureExtractor, fam: AugmentationFamily, n_classes: int
-) -> ClusterSiteSet:
-    """Cluster k holds one site per augmentation: the per-class mean feature
-    of the transformed training inputs, in family order."""
+def feature_views(fe: FeatureExtractor, x):
+    """Features of each view of x, in VIEW_ANGLES order, one view at a time."""
     x = np.asarray(x, dtype=float)
+    for angle in VIEW_ANGLES:
+        yield forward(fe, _rotate_pairs(x, angle))
+
+
+def expand_cluster_sites(x, y, fe: FeatureExtractor, n_classes: int) -> ClusterSiteSet:
+    """Cluster k holds one site per view: the per-class mean feature of the
+    rotated training inputs, in VIEW_ANGLES order."""
     y = np.asarray(y, dtype=int)
     _check_classes(y, n_classes)
-    per_alpha = []
-    for alpha in range(fam.size):
-        feats = forward(fe, fam.apply(alpha, x))
-        per_alpha.append(
-            np.stack([feats[y == k].mean(axis=0) for k in range(n_classes)])
-        )
-    clusters = np.stack(per_alpha, axis=1)  # (K, A, feature_dim)
-    return ClusterSiteSet(clusters)
+    per_view = [
+        np.stack([feats[y == k].mean(axis=0) for k in range(n_classes)])
+        for feats in feature_views(fe, x)
+    ]
+    return ClusterSiteSet(np.stack(per_view, axis=1))  # (K, A, feature_dim)
 
 
-def fit_logistic_head(
-    features,
-    labels,
-    n_classes: int,
-    learning_rate: float = 0.5,
-    n_iterations: int = 300,
-    l2: float = 0.3,
-) -> LogisticHead:
-    """Full-batch gradient descent on softmax cross-entropy from zero init.
+# The power weights are defined by this fit: HEAD_STEPS full-batch gradient
+# steps of size HEAD_LEARNING_RATE from zero, with L2 penalty HEAD_L2. They
+# are this iterate, not the minimiser of the penalised loss, so a different
+# optimiser would define different weights. The fairly strong L2 keeps the
+# weights bounded on separable data and near the scale of the site geometry.
+HEAD_LEARNING_RATE = 0.5
+HEAD_STEPS = 300
+HEAD_L2 = 0.3
 
-    Zero initialization keeps symmetric sources symmetric. The L2 term keeps
-    weights bounded on separable data; the fairly strong default holds the
-    derived power weights near the scale of the prototype geometry.
-    """
+
+def fit_logistic_head(features, labels, n_classes: int) -> LogisticHead:
+    """Full-batch gradient descent on softmax cross-entropy from zero init;
+    zero initialization keeps symmetric sources symmetric."""
     f = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)
     _check_classes(y, n_classes)
@@ -271,7 +252,7 @@ def fit_logistic_head(
     b = np.zeros(n_classes)
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
-    for _ in range(n_iterations):
+    for _ in range(HEAD_STEPS):
         logits = f @ w.T + b
         logits -= logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
@@ -279,12 +260,12 @@ def fit_logistic_head(
         if not np.all(np.isfinite(p)):
             raise DivergenceError("logistic head fitting diverged")
         resid = (p - onehot) / n
-        w -= learning_rate * (resid.T @ f + l2 * w)
-        b -= learning_rate * resid.sum(axis=0)
+        w -= HEAD_LEARNING_RATE * (resid.T @ f + HEAD_L2 * w)
+        b -= HEAD_LEARNING_RATE * resid.sum(axis=0)
     return LogisticHead(w, b)
 
 
-def fit_power_weights(x, y, fe: FeatureExtractor, sites: ClusterSiteSet) -> Array:
+def fit_power_weights(x, y, fe: FeatureExtractor, n_classes: int) -> Array:
     """Per-class squared power weights from a source-fit logistic head.
 
     The head is fit on the clean training features and converted to its power
@@ -292,12 +273,7 @@ def fit_power_weights(x, y, fe: FeatureExtractor, sites: ClusterSiteSet) -> Arra
     class order. Centering leaves every power-distance argmin unchanged while
     keeping the power terms d^2 - v^2 away from the clamp floor.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if sites.dim != fe.feature_dim:
-        raise ValueError("sites do not match the extractor's feature dimension")
-    feats = forward(fe, x)
-    head = fit_logistic_head(feats, y, sites.n_cells)
+    head = fit_logistic_head(forward(fe, x), y, n_classes)
     weight_sq = logistic_to_power(head).weight_sq
     if not np.all(np.isfinite(weight_sq)):
         raise DivergenceError("power weights are not finite")

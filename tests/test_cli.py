@@ -75,6 +75,9 @@ def test_run_writes_traces_and_summary(tmp_path):
             assert f"trace_{mode}_seed{seed}.csv" in files
     summary = json.loads((out / "summary.json").read_text())
     assert {row["mode"] for row in summary["per_mode"]} == {"vd", "cipd"}
+    # each run sets its own mode and filter; config.modes and config.filtering say what ran
+    assert "mode" not in summary["config"]["adapt"]
+    assert "filtering" not in summary["config"]["adapt"]
     trace = (out / "trace_vd_seed0.csv").read_text().splitlines()
     assert trace[0] == "batch_index,mode,batch_error,cum_error,mean_loss,kept_fraction"
     assert len(trace) == 4
@@ -161,12 +164,22 @@ def test_exit_codes():
         ("--class-mean-scale", "inf", "class_mean_scale"),
         ("--alpha", "inf", "label_shift_alpha"),
         ("--seeds", "-1", "seeds"),
+        ("--seeds", "0,0", "seeds"),
+        ("--feature-dim", "0", "feature_dim"),
     ],
 )
 def test_non_finite_hyperparameters_exit_1_naming_the_field(tmp_path, capsys, flag, value, name):
     code = run_cli("run", *FAST, flag, value, "--mode", "vd", "--out", str(tmp_path / "out"))
     assert code == 1
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("modes", [",", "cipd,cipd"])
+def test_empty_or_repeated_modes_exit_1_naming_the_field(tmp_path, capsys, modes):
+    code = run_cli("run", *FAST, "--mode", modes, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "mode" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from voronoi_tta.adaptation import AdaptConfig, FeatureExtractor, forward, run_stream
+from voronoi_tta.adaptation import AdaptConfig, FeatureExtractor, run_stream
 from voronoi_tta.geometry import ClusterSiteSet, InfluenceConfig, civd_influences
 from voronoi_tta.metrics import (
     adaptation_curve,
@@ -14,12 +14,13 @@ from voronoi_tta.metrics import (
     score_trace,
 )
 from voronoi_tta.streams import (
+    VIEW_ANGLES,
     Batch,
     StreamConfig,
     class_means,
     expand_cluster_sites,
+    feature_views,
     gen_source,
-    quarter_rotations,
 )
 
 
@@ -118,7 +119,7 @@ def make_traced_run(seed=0, n_batches=4):
     )
     x, y = gen_source(cfg)
     fe = FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, seed)
-    clusters = expand_cluster_sites(x, y, fe, quarter_rotations(), cfg.n_classes)
+    clusters = expand_cluster_sites(x, y, fe, cfg.n_classes)
     clusters = clusters.with_weights(np.zeros(cfg.n_classes))
     stream = [
         Batch(inputs=rng.normal(size=(10, 4)), hidden_labels=rng.integers(0, 3, 10))
@@ -182,30 +183,28 @@ def report_setup(seed=0):
     )
     x, y = gen_source(cfg)
     fe = FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, seed)
-    fam = quarter_rotations()
-    clusters = expand_cluster_sites(x, y, fe, fam, cfg.n_classes)
-    return cfg, fe, fam, clusters
+    clusters = expand_cluster_sites(x, y, fe, cfg.n_classes)
+    return cfg, fe, clusters
 
 
 def test_clean_class_mean_minimizes_identity_distance():
-    cfg, fe, fam, clusters = report_setup()
+    cfg, fe, clusters = report_setup()
     means = class_means(cfg)
-    report = sample_distance_report(means[1], fe, clusters, fam)
+    report = sample_distance_report(means[1], fe, clusters)
     assert int(np.argmin(report.distances[0])) == 1
     assert report.per_rotation_pred[0] == 1
     assert report.aggregate_pred == 1
 
 
 def test_report_influence_matches_singleton_recomputation():
-    cfg, fe, fam, clusters = report_setup(seed=1)
+    cfg, fe, clusters = report_setup(seed=1)
     x = np.random.default_rng(2).normal(size=cfg.raw_dim) * 0.5
     icfg = InfluenceConfig(gamma=-0.8)
-    report = sample_distance_report(x, fe, clusters, fam, icfg)
+    report = sample_distance_report(x, fe, clusters, icfg)
     for k in range(cfg.n_classes):
         # sum of singleton influences over matched (view, site) pairs
         total = 0.0
-        for alpha in range(fam.size):
-            z = forward(fe, fam.apply(alpha, x))
+        for alpha, z in enumerate(feature_views(fe, x)):
             site = ClusterSiteSet(clusters.clusters[k : k + 1, alpha : alpha + 1])
             total += civd_influences(z, site, icfg)[0]
         assert report.influences[k] == pytest.approx(total, rel=1e-12)
@@ -223,12 +222,11 @@ def test_report_flags_aggregation_rescue():
     )
     x, y = gen_source(cfg)
     fe = FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, 6)
-    fam = quarter_rotations()
-    clusters = expand_cluster_sites(x, y, fe, fam, cfg.n_classes)
+    clusters = expand_cluster_sites(x, y, fe, cfg.n_classes)
     found = None
     for batch in gen_stream(cfg):
         for sample, label in zip(batch.inputs, batch.hidden_labels):
-            report = sample_distance_report(sample, fe, clusters, fam)
+            report = sample_distance_report(sample, fe, clusters)
             if (
                 report.aggregate_pred == label
                 and report.per_rotation_pred[0] != label
@@ -244,12 +242,19 @@ def test_report_flags_aggregation_rescue():
 
 
 def test_report_csv_shape():
-    cfg, fe, fam, clusters = report_setup(seed=7)
+    cfg, fe, clusters = report_setup(seed=7)
     x = np.zeros(cfg.raw_dim)
-    report = sample_distance_report(x, fe, clusters, fam)
+    report = sample_distance_report(x, fe, clusters)
     lines = distance_report_csv_lines(report)
     assert lines[0] == "alpha,class,distance,influence"
-    assert len(lines) == 1 + fam.size * cfg.n_classes
+    assert len(lines) == 1 + len(VIEW_ANGLES) * cfg.n_classes
     alpha, klass, dist, infl = lines[1].split(",")
     assert alpha == "0" and klass == "0"
     float(dist), float(infl)
+
+
+def test_report_requires_one_site_per_view():
+    cfg, fe, clusters = report_setup()
+    identity_only = ClusterSiteSet(clusters.clusters[:, :1])
+    with pytest.raises(ValueError, match="one site per view"):
+        sample_distance_report(np.zeros(cfg.raw_dim), fe, identity_only)
