@@ -236,6 +236,9 @@ def expand_cluster_sites(x, y, fe: FeatureExtractor, n_classes: int) -> ClusterS
 # are this iterate, not the minimiser of the penalised loss, so a different
 # optimiser would define different weights. The fairly strong L2 keeps the
 # weights bounded on separable data and near the scale of the site geometry.
+# The iterate is defined by its arithmetic, not by its memory layout: layouts
+# round differently, and test_streams.py pins this loop to an (n, K)
+# reference loop at 1e-12.
 HEAD_LEARNING_RATE = 0.5
 HEAD_STEPS = 300
 HEAD_L2 = 0.3
@@ -243,25 +246,32 @@ HEAD_L2 = 0.3
 
 def fit_logistic_head(features, labels, n_classes: int) -> LogisticHead:
     """Full-batch gradient descent on softmax cross-entropy from zero init;
-    zero initialization keeps symmetric sources symmetric."""
+    zero initialization keeps symmetric sources symmetric.
+
+    Logits are held class-major, (K, n), so the softmax reduces over the short
+    leading axis and runs in place; the inputs are never written.
+    """
     f = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)
     _check_classes(y, n_classes)
     n, dim = f.shape
     w = np.zeros((n_classes, dim))
     b = np.zeros(n_classes)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    for _ in range(HEAD_STEPS):
-        logits = f @ w.T + b
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        p = e / e.sum(axis=1, keepdims=True)
-        if not np.all(np.isfinite(p)):
-            raise DivergenceError("logistic head fitting diverged")
-        resid = (p - onehot) / n
-        w -= HEAD_LEARNING_RATE * (resid.T @ f + HEAD_L2 * w)
-        b -= HEAD_LEARNING_RATE * resid.sum(axis=0)
+    onehot = np.zeros((n_classes, n))
+    onehot[y, np.arange(n)] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(HEAD_STEPS):
+            p = w @ f.T
+            p += b[:, None]
+            p -= p.max(axis=0)
+            np.exp(p, out=p)
+            p /= p.sum(axis=0)
+            if not np.all(np.isfinite(p)):
+                raise DivergenceError(f"logistic head fitting diverged at step {step}")
+            p -= onehot
+            p /= n
+            w -= HEAD_LEARNING_RATE * (p @ f + HEAD_L2 * w)
+            b -= HEAD_LEARNING_RATE * p.sum(axis=1)
     return LogisticHead(w, b)
 
 

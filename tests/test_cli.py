@@ -1,6 +1,7 @@
 """CLI: config parsing, commands, outputs, determinism, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,17 @@ def test_empty_or_repeated_modes_exit_1_naming_the_field(tmp_path, capsys, modes
     assert code == 1
     assert "mode" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_diverging_head_fit_exits_2_without_warnings(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", *FAST, "--class-mean-scale", "1e200", "--mode", "cipd",
+                       "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "numeric failure" in err and "logistic head" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_parse_errors_name_the_key(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Geometry queries against hand values and independent brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -36,15 +38,17 @@ def sqdist_oracle(z, site):
     return acc
 
 
+# math.sqrt is correctly rounded, as np.sqrt is; x ** 0.5 goes through libm pow,
+# which can be one ulp off.
 def dist_oracle(z, site):
-    return sqdist_oracle(z, site) ** 0.5
+    return math.sqrt(sqdist_oracle(z, site))
 
 
 def influence_oracle(z, cluster, gamma, floor, weight_sq=None):
     total = 0.0
     for site in cluster:
         dsq = sqdist_oracle(z, site)
-        term = dsq**0.5 if weight_sq is None else dsq - weight_sq
+        term = math.sqrt(dsq) if weight_sq is None else dsq - weight_sq
         term = max(term, floor)
         total += term ** gamma
     sign = 1.0 if gamma > 0 else -1.0
@@ -447,6 +451,13 @@ def cluster_problems(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(cluster_problems())
+# squared distance 45.640625, where 45.640625 ** 0.5 is one ulp below its sqrt
+@example((
+    np.array([[[-4.0, 0.75, -2.75, 0.625]]]),
+    np.array([[2.25, -1.5, -3.25, -0.5]]),
+    np.zeros(1),
+    InfluenceConfig(gamma=1.0, distance_floor=1e-8),
+))
 def test_kernels_match_per_site_loop(problem):
     clusters, z, w, cfg = problem
     c = ClusterSiteSet(clusters, w)

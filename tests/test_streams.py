@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from voronoi_tta.adaptation import FeatureExtractor, forward
+from voronoi_tta.adaptation import DivergenceError, FeatureExtractor, forward
 from voronoi_tta.geometry import ClusterSiteSet, logistic_to_power, pd_assign
 from voronoi_tta.streams import (
     VIEW_ANGLES,
@@ -213,6 +213,29 @@ def test_logistic_head_is_the_300_step_iterate_from_zero(cfg):
     head = fit_logistic_head(f, y, k)
     np.testing.assert_allclose(head.weights, w, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(head.bias, b, rtol=1e-12, atol=1e-12)
+
+
+def test_logistic_head_leaves_its_inputs_untouched():
+    x, y = gen_source(SMALL)
+    f = forward(make_extractor(SMALL), x)
+    f_bytes, y_bytes = f.tobytes(), y.tobytes()
+    want = fit_logistic_head(f.copy(), y.copy(), SMALL.n_classes)
+    f.setflags(write=False)
+    y.setflags(write=False)
+    head = fit_logistic_head(f, y, SMALL.n_classes)
+    assert f.tobytes() == f_bytes and y.tobytes() == y_bytes
+    assert np.array_equal(head.weights, want.weights)
+    assert np.array_equal(head.bias, want.bias)
+
+
+def test_logistic_head_divergence_names_the_step():
+    # the first step moves w to ~1e200, so the second step's logits overflow;
+    # the fit must raise, not warn (warnings are errors in this suite)
+    f = np.full((4, 2), 1e200)
+    f[2:] *= -1.0
+    y = np.array([0, 0, 1, 1])
+    with pytest.raises(DivergenceError, match="logistic head fitting diverged at step 1"):
+        fit_logistic_head(f, y, 2)
 
 
 # --- streams ---
