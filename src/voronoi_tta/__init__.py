@@ -37,7 +37,6 @@ from .geometry import (
 from .experiments import (
     ExperimentSpec,
     PreparedRun,
-    ablation_rows,
     prepare_run,
     render_diagram,
     run_grid,

@@ -24,7 +24,6 @@ from .experiments import (
     RENDER_KINDS,
     SWEEP_AXES,
     ExperimentSpec,
-    ablation_rows,
     mode_statistics,
     render_diagram,
     run_grid,
@@ -194,15 +193,17 @@ def cmd_run(spec: ExperimentSpec) -> int:
     return 0
 
 
+def _write_rows(path: Path, columns, rows):
+    """CSV of the named columns of each row; str of a float is its repr."""
+    lines = [",".join(columns)]
+    lines += [",".join(str(row[col]) for col in columns) for row in rows]
+    write_atomic(path, "\n".join(lines) + "\n")
+
+
 def cmd_ablate(spec: ExperimentSpec) -> int:
-    rows = ablation_rows(spec)
-    lines = ["mode,mean_error,std_error,n_seeds"]
-    for row in rows:
-        lines.append(
-            f"{row['mode']},{repr(row['mean_error'])},{repr(row['std_error'])},{row['n_seeds']}"
-        )
+    rows = mode_statistics(run_grid(spec), spec.modes, spec.seeds)
     out = Path(spec.out_dir)
-    write_atomic(out / "ablation.csv", "\n".join(lines) + "\n")
+    _write_rows(out / "ablation.csv", ("mode", "mean_error", "std_error", "n_seeds"), rows)
     print(f"ablation over seeds {list(spec.seeds)}; outputs in {out}/")
     for row in rows:
         print(f"  {row['mode']:>4s}: {100 * row['mean_error']:6.2f}% ± {100 * row['std_error']:.2f}")
@@ -212,14 +213,9 @@ def cmd_ablate(spec: ExperimentSpec) -> int:
 def cmd_sweep(spec: ExperimentSpec, axis: str, values) -> int:
     axis = axis.replace("-", "_")
     rows = sweep_rows(spec, axis, values)
-    lines = ["axis,value,mode,mean_error,std_error,n_seeds"]
-    for row in rows:
-        lines.append(
-            f"{row['axis']},{row['value']},{row['mode']},"
-            f"{repr(row['mean_error'])},{repr(row['std_error'])},{row['n_seeds']}"
-        )
     out = Path(spec.out_dir)
-    write_atomic(out / "sweep.csv", "\n".join(lines) + "\n")
+    columns = ("axis", "value", "mode", "mean_error", "std_error", "n_seeds")
+    _write_rows(out / "sweep.csv", columns, rows)
     print(f"sweep over {axis}; outputs in {out}/")
     for row in rows:
         print(
@@ -245,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
         "run": "run the (mode, seed) grid and write traces plus a summary",
-        "ablate": "compare vd, civd, and cipd on identical streams",
+        "ablate": "compare the --mode modes (default all three) on identical streams",
         "sweep": "vary one axis (batch-size, alpha, site-fraction)",
         "render": "render a 2-D diagram to SVG",
     }

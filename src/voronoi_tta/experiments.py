@@ -168,18 +168,15 @@ def mode_statistics(traces: dict, modes, seeds) -> list[dict]:
     return rows
 
 
-def ablation_rows(spec: ExperimentSpec) -> list[dict]:
-    """VD / CIVD / CIPD on identical streams (same seeds)."""
-    spec = replace(spec, modes=MODES)
-    traces = run_grid(spec)
-    return mode_statistics(traces, MODES, spec.seeds)
-
-
 def sweep_rows(spec: ExperimentSpec, axis: str, values=None) -> list[dict]:
-    """Vary one axis (batch_size, alpha, or site_fraction), all modes."""
+    """Vary one axis (batch_size, alpha, or site_fraction) over the spec's modes."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}")
     values = SWEEP_AXES[axis] if values is None else tuple(values)
+    if not values:
+        raise ValueError("values must be nonempty")
+    if axis == "batch_size" and not all(float(v).is_integer() for v in values):
+        raise ValueError(f"values: batch sizes must be integers, got {list(values)}")
     rows = []
     for value in values:
         if axis == "batch_size":
@@ -200,13 +197,11 @@ def sweep_rows(spec: ExperimentSpec, axis: str, values=None) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _render_bbox(prepared: PreparedRun, margin: float = 0.15) -> tuple:
-    pts = [prepared.clusters.clusters.reshape(-1, 2)]
-    if prepared.stream:
-        pts.append(forward(prepared.extractor, prepared.stream[0].inputs))
-    pts = np.concatenate(pts, axis=0)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+def _render_bbox(clusters: ClusterSiteSet, scatter, margin: float = 0.15) -> tuple:
+    pts = clusters.clusters.reshape(-1, 2)
+    if scatter is not None:
+        pts = np.concatenate([pts, scatter], axis=0)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
     pad = (hi - lo) * margin + 1e-6
     return (lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1])
 
@@ -224,13 +219,12 @@ def render_diagram(spec: ExperimentSpec, which: str) -> tuple[str, dict]:
         raise ValueError("rendering requires feature_dim = 2")
     prepared = prepare_run(spec.stream, spec.seeds[0], spec.site_fraction)
     clusters = prepared.clusters
-    bbox = _render_bbox(prepared)
     influence = spec.adapt.influence
-    scatter = None
-    scatter_classes = None
+    scatter = scatter_classes = None
     if prepared.stream:
         scatter = forward(prepared.extractor, prepared.stream[0].inputs)
         scatter_classes = prepared.stream[0].hidden_labels
+    bbox = _render_bbox(clusters, scatter)
 
     extras: dict = {"bbox": bbox, "clusters": clusters}
     if which in ("vd", "pd"):
@@ -251,9 +245,8 @@ def render_diagram(spec: ExperimentSpec, which: str) -> tuple[str, dict]:
     extras["grid_xy"] = (xs, ys)
     highlight = None
     if which == "subtraction":
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        highlight = ~filter_batch(pts, clusters, influence).keep_mask.reshape(grid.shape)
+        excluded = lambda pts: ~filter_batch(pts, clusters, influence).keep_mask
+        highlight, _, _ = assignment_grid(excluded, bbox, n, n)
         extras["highlight"] = highlight
     svg = raster_svg(
         grid, bbox, highlight=highlight, points=scatter, point_classes=scatter_classes

@@ -34,11 +34,9 @@ def filter_batch(features, c: ClusterSiteSet, cfg: InfluenceConfig) -> FilterRep
     diagrams coincide and every sample is kept. For singleton clusters the
     excluded samples are exactly those whose VD and PD cells differ.
     """
-    if c.weight_sq is None:
-        raise ValueError("cluster set has no weights")
     z = np.atleast_2d(np.asarray(features, dtype=float))
-    unweighted = cipd_influences(z, c, cfg, weight_sq=np.zeros(c.n_cells))
-    weighted = cipd_influences(z, c, cfg)
+    weighted = cipd_influences(z, c, cfg)  # first: rejects a set without weights
+    unweighted = cipd_influences(z, c.with_weights(np.zeros(c.n_cells)), cfg)
     keep = np.argmax(unweighted, axis=-1) == np.argmax(weighted, axis=-1)
     return FilterReport(
         keep_mask=keep,

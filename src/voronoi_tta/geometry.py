@@ -199,19 +199,11 @@ def civd_influences(z, c: ClusterSiteSet, cfg: InfluenceConfig) -> Array:
     return f[0] if z.ndim == 1 else f
 
 
-def cipd_influences(z, c: ClusterSiteSet, cfg: InfluenceConfig, weight_sq=None) -> Array:
-    """Power-based influence of every cluster; (K,) or (n, K).
-
-    ``weight_sq`` overrides the weights stored on the cluster set, which lets
-    the filter evaluate the zero-weight (unweighted) diagram of the same
-    clusters.
-    """
-    w = _weights(c) if weight_sq is None else np.asarray(weight_sq, dtype=float)
-    if w.shape != (c.n_cells,):
-        raise ValueError("need one squared weight per cluster")
+def cipd_influences(z, c: ClusterSiteSet, cfg: InfluenceConfig) -> Array:
+    """Power-based influence of every cluster; (K,) or (n, K)."""
+    w = _weights(c)
     z = _check_points(z, c.dim)
-    dsq = squared_distances(np.atleast_2d(z), c.clusters)
-    f = aggregate_influence(site_terms(dsq, w), cfg)
+    f = aggregate_influence(site_terms(squared_distances(np.atleast_2d(z), c.clusters), w), cfg)
     return f[0] if z.ndim == 1 else f
 
 

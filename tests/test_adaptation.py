@@ -160,15 +160,30 @@ def fd_gradient(fe, x, clusters, cfg, keep, h=1e-5):
     return gs, gb
 
 
-@pytest.mark.parametrize("mode", ["vd", "civd", "cipd"])
-def test_gradients_match_finite_differences(mode):
+# VD scores do not read gamma, so only the cluster modes vary it. gamma >= 1.5
+# is left out: on these setups the softmax saturates (loss down to ~1e-16,
+# |grad| ~1e-12), so central differences measure rounding there (9e-3
+# relative at gamma = 3), not the gradient.
+GRADIENT_CASES = [("vd", -0.8)] + [
+    (mode, gamma) for mode in ("civd", "cipd") for gamma in (-2.5, -0.8, 0.5)
+]
+
+
+@pytest.mark.parametrize(
+    "mode, gamma",
+    [
+        pytest.param(mode, gamma, id=mode if gamma == -0.8 else f"{mode}-gamma{gamma}")
+        for mode, gamma in GRADIENT_CASES
+    ],
+)
+def test_gradients_match_finite_differences(mode, gamma):
     for trial in range(8):
         rng, fe, clusters = random_setup(100 + trial)
         x = rng.normal(0, 1.5, size=(6, 5))
         keep = rng.random(6) > 0.3
         if not keep.any():
             keep[0] = True
-        cfg = AdaptConfig(mode=mode, tau=0.8)
+        cfg = AdaptConfig(mode=mode, tau=0.8, influence=InfluenceConfig(gamma=gamma))
         loss, gs, gb = batch_loss_and_grad(fe, x, clusters, cfg, keep)
         gs_fd, gb_fd = fd_gradient(fe, x, clusters, cfg, keep)
         num = np.linalg.norm(np.concatenate([gs - gs_fd, gb - gb_fd]))
@@ -319,6 +334,28 @@ def test_hidden_labels_do_not_influence_the_run():
         assert np.array_equal(ra.predictions, rb.predictions)
         assert np.array_equal(ra.keep_mask, rb.keep_mask)
         assert ra.mean_loss == rb.mean_loss
+
+
+def test_non_finite_scores_give_a_non_finite_loss():
+    rng, fe, clusters = random_setup(13)
+    huge = FeatureExtractor(fe.frozen_map, fe.scale * 1e300, fe.shift)
+    x = rng.normal(size=(4, 5))
+    with np.errstate(all="ignore"):
+        loss, _, _ = batch_loss_and_grad(huge, x, clusters, AdaptConfig(mode="vd"), np.ones(4, bool))
+    assert np.isnan(loss)
+
+
+@pytest.mark.parametrize(
+    "steps, where",
+    [(1, "vd mode, batch 1$"), (3, "vd mode, batch 0, step 1$")],
+    ids=["one-step", "three-steps"],
+)
+def test_divergence_names_mode_batch_and_step(steps, where):
+    rng, fe, clusters = random_setup(13)
+    stream = make_stream(rng, clusters, fe)
+    cfg = AdaptConfig(mode="vd", learning_rate=1e300, steps_per_batch=steps)
+    with pytest.raises(DivergenceError, match=where):
+        run_stream(fe, stream, clusters, cfg)
 
 
 def test_batch_loss_bounds():

@@ -124,6 +124,13 @@ def test_ablate_emits_three_mode_rows(tmp_path):
     assert len(rows) == 4
 
 
+def test_ablate_honours_mode(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("ablate", *FAST, "--mode", "cipd", "--seeds", "0", "--out", str(out)) == 0
+    rows = (out / "ablation.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("cipd,")
+
+
 def test_sweep_batch_size_shape(tmp_path):
     out = tmp_path / "out"
     code = run_cli(
@@ -193,6 +200,31 @@ def test_diverging_head_fit_exits_2_without_warnings(tmp_path, capsys):
     assert code == 2
     assert "numeric failure" in err and "logistic head" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "steps, where", [("1", "batch 1"), ("3", "batch 0, step 1")], ids=["one-step", "three-steps"]
+)
+def test_diverging_online_loop_exits_2_without_warnings(tmp_path, capsys, steps, where):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--seeds", "0", "--n-batches", "6", "--n-train-per-class", "50",
+                       "--mode", "vd", "--lr", "1e300", "--steps-per-batch", steps,
+                       "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numeric failure:") and err.count("\n") == 1
+    assert f"vd mode, {where}" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("axis, values", [("batch-size", "12.7"), ("alpha", ",")])
+def test_bad_sweep_values_exit_1_naming_the_field(tmp_path, capsys, axis, values):
+    code = run_cli("sweep", *FAST, "--axis", axis, "--values", values, "--seeds", "0",
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_errors_name_the_key(tmp_path, capsys):

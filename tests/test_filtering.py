@@ -31,7 +31,7 @@ def test_kept_fraction_matches_brute_force():
     c = ClusterSiteSet(rng.normal(size=(5, 3, 2)) * 2.0, rng.normal(size=5) * 0.5)
     z = rng.normal(size=(1000, 2)) * 2.0
     report = filter_batch(z, c, CFG)
-    unweighted = np.argmax(cipd_influences(z, c, CFG, weight_sq=np.zeros(5)), axis=1)
+    unweighted = np.argmax(cipd_influences(z, c.with_weights(np.zeros(5)), CFG), axis=1)
     weighted = np.argmax(cipd_influences(z, c, CFG), axis=1)
     want = unweighted == weighted
     assert np.array_equal(report.keep_mask, want)
