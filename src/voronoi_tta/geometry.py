@@ -114,7 +114,10 @@ class LogisticHead:
 @dataclass(frozen=True)
 class InfluenceConfig:
     """Influence exponent gamma plus the positive floor applied to each
-    distance (or power) term before it is raised to gamma."""
+    distance (or power) term before it is raised to gamma.
+
+    The clamp is hard: a term at or below the floor scores as ``floor^gamma``
+    whatever its value, and its sub-gradient there is zero."""
 
     gamma: float = -0.8
     distance_floor: float = 1e-8

@@ -61,15 +61,17 @@ class StreamConfig:
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise ValueError("need at least two classes")
+            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.raw_dim < 2 or self.raw_dim % 2 != 0:
             raise ValueError("raw_dim must be even (inputs are coordinate pairs)")
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.batch_size < 1 or self.n_batches < 0:
-            raise ValueError("batch_size must be >= 1 and n_batches >= 0")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.n_batches < 0:
+            raise ValueError(f"n_batches must be >= 0, got {self.n_batches}")
         if self.n_train_per_class < 1:
-            raise ValueError("need at least one training sample per class")
+            raise ValueError(f"n_train_per_class must be >= 1, got {self.n_train_per_class}")
         if self.corruption not in CORRUPTIONS:
             raise ValueError(f"corruption must be one of {CORRUPTIONS}")
         if not 1 <= self.severity <= 5:

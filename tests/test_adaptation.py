@@ -1,8 +1,13 @@
 """Soft labels, entropy loss, analytic gradients, and the online loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from voronoi_tta import StreamConfig, prepare_run
 from voronoi_tta.adaptation import (
     AdaptConfig,
     DivergenceError,
@@ -160,12 +165,12 @@ def fd_gradient(fe, x, clusters, cfg, keep, h=1e-5):
     return gs, gb
 
 
-# VD scores do not read gamma, so only the cluster modes vary it. gamma >= 1.5
-# is left out: on these setups the softmax saturates (loss down to ~1e-16,
-# |grad| ~1e-12), so central differences measure rounding there (9e-3
-# relative at gamma = 3), not the gradient.
+# VD scores do not read gamma, so only the cluster modes vary it. Each trial
+# sets tau to the spread of its batch's scores, so that the softmax does not
+# saturate at any gamma (at tau = 0.8 and gamma = 3 the loss fell to ~1e-16 and
+# central differences measured rounding, not the gradient).
 GRADIENT_CASES = [("vd", -0.8)] + [
-    (mode, gamma) for mode in ("civd", "cipd") for gamma in (-2.5, -0.8, 0.5)
+    (mode, gamma) for mode in ("civd", "cipd") for gamma in (-2.5, -0.8, 0.5, 1.5, 3.0)
 ]
 
 
@@ -183,12 +188,34 @@ def test_gradients_match_finite_differences(mode, gamma):
         keep = rng.random(6) > 0.3
         if not keep.any():
             keep[0] = True
-        cfg = AdaptConfig(mode=mode, tau=0.8, influence=InfluenceConfig(gamma=gamma))
+        cfg = AdaptConfig(mode=mode, influence=InfluenceConfig(gamma=gamma))
+        cfg = replace(cfg, tau=float(np.std(mode_scores(forward(fe, x), clusters, cfg))))
         loss, gs, gb = batch_loss_and_grad(fe, x, clusters, cfg, keep)
         gs_fd, gb_fd = fd_gradient(fe, x, clusters, cfg, keep)
         num = np.linalg.norm(np.concatenate([gs - gs_fd, gb - gb_fd]))
         den = max(np.linalg.norm(np.concatenate([gs, gb])), 1e-12)
         assert num / den < 1e-5
+
+
+def test_vd_is_the_identity_slice_at_gamma_one():
+    # the vd gradient is the civd one on single-site clusters at gamma = 1, bitwise
+    cases = []
+    for seed in range(200):
+        rng, fe, clusters = random_setup(seed)
+        x = rng.normal(0, 1.5, size=(6, 5))
+        cases.append((fe, x, clusters, rng.random(6) > 0.3))
+    prepared = prepare_run(StreamConfig(seed=0), seed=0)
+    for batch in prepared.stream[:5]:
+        keep = np.ones(len(batch.inputs), bool)
+        cases.append((prepared.extractor, batch.inputs, prepared.clusters, keep))
+    vd = AdaptConfig(mode="vd")
+    civd = AdaptConfig(mode="civd", influence=InfluenceConfig(gamma=1.0))
+    for fe, x, clusters, keep in cases:
+        identity = ClusterSiteSet(clusters.clusters[:, :1])
+        got = batch_loss_and_grad(fe, x, clusters, vd, keep)
+        want = batch_loss_and_grad(fe, x, identity, civd, keep)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 def test_all_filtered_gives_zero_loss_and_grad():
@@ -213,6 +240,42 @@ def test_sample_at_site_contributes_no_vd_gradient_through_clamp():
     far = z - np.array([-1.0, -1.0])
     direction = gb / np.linalg.norm(gb)
     np.testing.assert_allclose(np.abs(direction), np.abs(far / np.linalg.norm(far)), rtol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([-2.5, -0.8, 0.5, 1.5, 3.0]),
+    data=st.data(),
+)
+def test_cipd_gradient_around_the_floor(seed, gamma, data):
+    # one sample sits on the single site of cluster k, and v_k^2 = -term makes
+    # that site's power term exactly `term`; at or below the floor the clamped
+    # term is a constant, so loss and gradients do not depend on it
+    _, _, clusters = random_setup(seed, n_sites=1)
+    k = data.draw(st.integers(0, clusters.n_cells - 1))
+    fe = FeatureExtractor(np.eye(clusters.dim), np.ones(clusters.dim), np.zeros(clusters.dim))
+    x = clusters.clusters[k]
+    cfg = AdaptConfig(mode="cipd", influence=InfluenceConfig(gamma=gamma))
+    floor = cfg.influence.distance_floor
+
+    def loss_and_grad(term):
+        weights = clusters.weight_sq.copy()
+        weights[k] = -term
+        c = clusters.with_weights(weights)
+        # tau at the spread of the scores keeps the softmax off saturation
+        tau = float(np.std(mode_scores(forward(fe, x), c, cfg)))
+        return batch_loss_and_grad(fe, x, c, replace(cfg, tau=tau), np.array([True]))
+
+    at = loss_and_grad(floor)
+    assert np.all(np.isfinite(np.concatenate([at[1], at[2]])))
+    for term in (np.nextafter(floor, 0.0), 0.5 * floor, 0.0):
+        got = loss_and_grad(term)
+        assert got[0] == at[0]
+        assert np.array_equal(got[1], at[1]) and np.array_equal(got[2], at[2])
+    for term in (np.nextafter(floor, np.inf), 2.0 * floor):
+        got = loss_and_grad(term)
+        assert np.all(np.isfinite(np.concatenate([[got[0]], got[1], got[2]])))
 
 
 def test_single_step_descent_on_fixed_batch():

@@ -174,12 +174,20 @@ def test_exit_codes():
         ("--seeds", "-1", "seeds"),
         ("--seeds", "0,0", "seeds"),
         ("--feature-dim", "0", "feature_dim"),
+        ("--classes", "1", "n_classes"),
+        ("--n-train-per-class", "0", "n_train_per_class"),
+        ("--batch-size", "0", "batch_size"),
+        ("--n-batches", "-1", "n_batches"),
     ],
 )
 def test_non_finite_hyperparameters_exit_1_naming_the_field(tmp_path, capsys, flag, value, name):
     code = run_cli("run", *FAST, flag, value, "--mode", "vd", "--out", str(tmp_path / "out"))
     assert code == 1
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert name in err
+    # batch_size and n_batches are checked apart: each error names only its own field
+    other = {"batch_size": "n_batches", "n_batches": "batch_size"}.get(name)
+    assert other is None or other not in err
     assert not (tmp_path / "out").exists()
 
 

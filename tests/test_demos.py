@@ -17,6 +17,7 @@ DEMO_SVGS = {
     "01_diagrams_in_the_plane.py": (
         "vd_cells.svg", "pd_cells.svg", "civd_raster.svg", "cipd_raster.svg",
     ),
+    "02_online_adaptation.py": (),
     "03_sample_filtering.py": ("subtraction.svg",),
     "04_distance_report.py": (),
 }
