@@ -7,7 +7,7 @@ degrades as alpha shrinks and barely moves with the site fraction; the three
 seeds here keep the demo quick, so expect some noise in the middle column.
 
 Run from the repository root:  python demos/05_shift_and_robustness_sweeps.py
-(a few dozen full runs; takes a minute or so)
+(18 runs; takes a few seconds)
 """
 
 from voronoi_tta import ExperimentSpec, StreamConfig

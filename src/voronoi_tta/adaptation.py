@@ -86,7 +86,7 @@ class AdaptConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -94,7 +94,7 @@ class AdaptConfig:
                 f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
             )
         if self.steps_per_batch < 1:
-            raise ValueError("steps_per_batch must be at least 1")
+            raise ValueError(f"steps_per_batch must be >= 1, got {self.steps_per_batch}")
 
 
 @dataclass
@@ -342,11 +342,7 @@ def trace_summary(trace: RunTrace) -> dict:
         "mode": trace.mode,
         "n_batches": len(trace.records),
         "n_samples": n,
-        "final_cum_error": trace.final_cum_error() if trace.records else None,
-        "mean_batch_loss": float(np.mean([r.mean_loss for r in trace.records]))
-        if trace.records
-        else None,
-        "mean_kept_fraction": float(np.mean([r.kept_fraction for r in trace.records]))
-        if trace.records
-        else None,
+        "final_cum_error": trace.final_cum_error(),
+        "mean_batch_loss": float(np.mean([r.mean_loss for r in trace.records])),
+        "mean_kept_fraction": float(np.mean([r.kept_fraction for r in trace.records])),
     }

@@ -139,13 +139,12 @@ def build_spec(values: dict) -> ExperimentSpec:
 
 
 def collect_values(args: argparse.Namespace) -> dict:
-    values = {}
-    if args.config:
-        values.update(read_config_file(args.config))
+    """Parsed values of the config file, overridden by parsed flags."""
+    values = read_config_file(args.config) if args.config else {}
     for key in KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = parse_value(key, text)
     return values
 
 
@@ -164,8 +163,8 @@ def write_atomic(path: Path, text: str):
 
 def _spec_dict(spec: ExperimentSpec) -> dict:
     d = asdict(spec)
-    # run_single sets these per run; config.modes and config.filtering say what ran.
-    del d["adapt"]["mode"], d["adapt"]["filtering"]
+    # Set per run; config.modes, config.filtering and config.seeds say what ran.
+    del d["adapt"]["mode"], d["adapt"]["filtering"], d["stream"]["seed"]
     return d
 
 
@@ -177,7 +176,7 @@ def cmd_run(spec: ExperimentSpec) -> int:
         name = f"trace_{mode}_seed{seed}.csv"
         write_atomic(out / name, "\n".join(trace_csv_lines(trace)) + "\n")
         summaries[f"{mode}/seed{seed}"] = trace_summary(trace)
-    stats = mode_statistics(traces, spec.modes, spec.seeds) if spec.stream.n_batches else []
+    stats = mode_statistics(traces, spec.modes, spec.seeds)
     payload = {
         "config": _spec_dict(spec),
         "per_run": summaries,
@@ -271,11 +270,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; 0 for --help
         return 0 if exc.code in (0, None) else 1
     try:
-        raw = collect_values(args)
-        values = {}
-        for key, value in raw.items():
-            values[key] = parse_value(key, value) if isinstance(value, str) else value
-        spec = build_spec(values)
+        spec = build_spec(collect_values(args))
         if args.command == "run":
             return cmd_run(spec)
         if args.command == "ablate":

@@ -70,9 +70,9 @@ class ExperimentSpec:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
         if not 0 < self.site_fraction <= 1:
-            raise ValueError("site_fraction must be in (0, 1]")
+            raise ValueError(f"site_fraction must be in (0, 1], got {self.site_fraction!r}")
         if self.render_grid < 8:
-            raise ValueError("render_grid too small")
+            raise ValueError(f"render_grid must be >= 8, got {self.render_grid}")
 
 
 def resolve_filtering(mode: str, option: bool | None) -> bool:
@@ -98,7 +98,7 @@ _STREAM_ONLY = {
     "corruption": "none",
     "severity": 1,
     "batch_size": 1,
-    "n_batches": 0,
+    "n_batches": 1,
     "label_shift_alpha": None,
 }
 
@@ -173,14 +173,16 @@ def sweep_rows(spec: ExperimentSpec, axis: str, values=None) -> list[dict]:
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}")
     values = SWEEP_AXES[axis] if values is None else tuple(values)
-    if not values:
-        raise ValueError("values must be nonempty")
-    if axis == "batch_size" and not all(float(v).is_integer() for v in values):
-        raise ValueError(f"values: batch sizes must be integers, got {list(values)}")
+    if not values or len(set(values)) != len(values):
+        raise ValueError(f"values must be nonempty and distinct, got {list(values)}")
+    if axis == "batch_size":
+        if not all(float(v).is_integer() for v in values):
+            raise ValueError(f"values: batch sizes must be integers, got {list(values)}")
+        values = tuple(int(v) for v in values)
     rows = []
     for value in values:
         if axis == "batch_size":
-            point = replace(spec, stream=replace(spec.stream, batch_size=int(value)))
+            point = replace(spec, stream=replace(spec.stream, batch_size=value))
         elif axis == "alpha":
             point = replace(spec, stream=replace(spec.stream, label_shift_alpha=float(value)))
         else:
@@ -197,12 +199,10 @@ def sweep_rows(spec: ExperimentSpec, axis: str, values=None) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _render_bbox(clusters: ClusterSiteSet, scatter, margin: float = 0.15) -> tuple:
-    pts = clusters.clusters.reshape(-1, 2)
-    if scatter is not None:
-        pts = np.concatenate([pts, scatter], axis=0)
+def _render_bbox(clusters: ClusterSiteSet, scatter: np.ndarray) -> tuple:
+    pts = np.concatenate([clusters.clusters.reshape(-1, 2), scatter], axis=0)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    pad = (hi - lo) * margin + 1e-6
+    pad = (hi - lo) * 0.15 + 1e-6
     return (lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1])
 
 
@@ -220,10 +220,8 @@ def render_diagram(spec: ExperimentSpec, which: str) -> tuple[str, dict]:
     prepared = prepare_run(spec.stream, spec.seeds[0], spec.site_fraction)
     clusters = prepared.clusters
     influence = spec.adapt.influence
-    scatter = scatter_classes = None
-    if prepared.stream:
-        scatter = forward(prepared.extractor, prepared.stream[0].inputs)
-        scatter_classes = prepared.stream[0].hidden_labels
+    scatter = forward(prepared.extractor, prepared.stream[0].inputs)
+    scatter_classes = prepared.stream[0].hidden_labels
     bbox = _render_bbox(clusters, scatter)
 
     extras: dict = {"bbox": bbox, "clusters": clusters}

@@ -136,13 +136,11 @@ class CellPolygon2D:
     """One diagram cell clipped to a bounding box.
 
     ``vertices`` is a convex counterclockwise (V, 2) array; it may be empty
-    when the cell does not intersect the box. ``clipped`` marks cells whose
-    polygon touches the box boundary and is therefore truncated.
+    when the cell does not intersect the box.
     """
 
     cell_index: int
     vertices: Array
-    clipped: bool
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +327,5 @@ def compute_cells_2d(c: ClusterSiteSet, bbox) -> list[CellPolygon2D]:
             poly = _clip_halfplane(poly, a, rhs)
         if len(poly) < 3:
             poly = np.empty((0, 2))
-        on_box = len(poly) > 0 and bool(
-            np.any(
-                (np.abs(poly[:, 0] - xmin) < 1e-9)
-                | (np.abs(poly[:, 0] - xmax) < 1e-9)
-                | (np.abs(poly[:, 1] - ymin) < 1e-9)
-                | (np.abs(poly[:, 1] - ymax) < 1e-9)
-            )
-        )
-        cells.append(CellPolygon2D(cell_index=k, vertices=poly, clipped=on_box))
+        cells.append(CellPolygon2D(cell_index=k, vertices=poly))
     return cells

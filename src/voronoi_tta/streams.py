@@ -63,19 +63,19 @@ class StreamConfig:
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.raw_dim < 2 or self.raw_dim % 2 != 0:
-            raise ValueError("raw_dim must be even (inputs are coordinate pairs)")
+            raise ValueError(f"raw_dim must be even and >= 2, got {self.raw_dim}")
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.n_batches < 0:
-            raise ValueError(f"n_batches must be >= 0, got {self.n_batches}")
+        if self.n_batches < 1:
+            raise ValueError(f"n_batches must be >= 1, got {self.n_batches}")
         if self.n_train_per_class < 1:
             raise ValueError(f"n_train_per_class must be >= 1, got {self.n_train_per_class}")
         if self.corruption not in CORRUPTIONS:
-            raise ValueError(f"corruption must be one of {CORRUPTIONS}")
+            raise ValueError(f"corruption must be one of {CORRUPTIONS}, got {self.corruption!r}")
         if not 1 <= self.severity <= 5:
-            raise ValueError("severity is an integer in 1..5")
+            raise ValueError(f"severity must be an integer in 1..5, got {self.severity}")
         alpha = self.label_shift_alpha
         if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"label_shift_alpha must be finite and positive, got {alpha!r}")

@@ -35,9 +35,9 @@ def cell_color(k: int) -> str:
 class _Frame:
     """Maps world coordinates in bbox to SVG pixels (y axis flipped)."""
 
-    def __init__(self, bbox, width: int):
+    def __init__(self, bbox):
         self.xmin, self.xmax, self.ymin, self.ymax = (float(v) for v in bbox)
-        self.width = int(width)
+        self.width = 640  # every document; the height follows the bbox's aspect
         self.scale = self.width / (self.xmax - self.xmin)
         self.height = int(round((self.ymax - self.ymin) * self.scale))
 
@@ -76,10 +76,9 @@ def polygons_svg(
     bbox,
     points: Array | None = None,
     point_classes=None,
-    width: int = 640,
 ) -> str:
     """One filled polygon per non-empty cell, colored by cell index."""
-    frame = _Frame(bbox, width)
+    frame = _Frame(bbox)
     body = []
     for cell in cells:
         if len(cell.vertices) < 3:
@@ -112,13 +111,21 @@ def assignment_grid(assign, bbox, n_cells_x: int = 200, n_cells_y: int = 200):
     return labels, xs, ys
 
 
+def _runs(row: Array):
+    """(start, stop, value) of each maximal run of equal values in a 1-D row."""
+    start = 0
+    for j in range(1, len(row) + 1):
+        if j == len(row) or row[j] != row[start]:
+            yield start, j, row[start]
+            start = j
+
+
 def raster_svg(
     grid: Array,
     bbox,
     highlight: Array | None = None,
     points: Array | None = None,
     point_classes=None,
-    width: int = 640,
 ) -> str:
     """Row-RLE rectangles colored by grid label.
 
@@ -127,7 +134,7 @@ def raster_svg(
     """
     grid = np.asarray(grid)
     ny, nx = grid.shape
-    frame = _Frame(bbox, width)
+    frame = _Frame(bbox)
     cw = frame.width / nx
     ch = frame.height / ny
     body = []
@@ -143,24 +150,14 @@ def raster_svg(
         )
 
     for i in range(ny):
-        row = grid[i]
-        start = 0
-        for j in range(1, nx + 1):
-            if j == nx or row[j] != row[start]:
-                rect(i, start, j, cell_color(int(row[start])), "0.55")
-                start = j
+        for start, stop, label in _runs(grid[i]):
+            rect(i, start, stop, cell_color(int(label)), "0.55")
     if highlight is not None:
         mask = np.asarray(highlight, dtype=bool)
         for i in range(ny):
-            row = mask[i]
-            start = None
-            for j in range(nx + 1):
-                on = j < nx and row[j]
-                if on and start is None:
-                    start = j
-                elif not on and start is not None:
-                    rect(i, start, j, "#1a1a1a", "0.45")
-                    start = None
+            for start, stop, on in _runs(mask[i]):
+                if on:
+                    rect(i, start, stop, "#1a1a1a", "0.45")
     if points is not None:
         body.extend(_scatter(frame, points, point_classes, radius=3.0))
     return _document(frame, body)

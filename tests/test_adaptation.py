@@ -87,6 +87,12 @@ def test_frozen_map_is_read_only():
     assert fe.frozen_map[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("name, value", [("mode", "bogus"), ("steps_per_batch", 0)])
+def test_adapt_config_errors_name_the_field_and_value(name, value):
+    with pytest.raises(ValueError, match=f"^{name} .*, got {value!r}$"):
+        AdaptConfig(**{name: value})
+
+
 # --- soft labels ---
 
 def test_softmax_symmetry_and_closed_form():

@@ -79,6 +79,9 @@ def test_run_writes_traces_and_summary(tmp_path):
     # each run sets its own mode and filter; config.modes and config.filtering say what ran
     assert "mode" not in summary["config"]["adapt"]
     assert "filtering" not in summary["config"]["adapt"]
+    # and its own seed; config.seeds says which ran
+    assert "seed" not in summary["config"]["stream"]
+    assert summary["config"]["seeds"] == [0, 1]
     trace = (out / "trace_vd_seed0.csv").read_text().splitlines()
     assert trace[0] == "batch_index,mode,batch_error,cum_error,mean_loss,kept_fraction"
     assert len(trace) == 4
@@ -106,12 +109,17 @@ def test_run_is_byte_deterministic(tmp_path):
     assert f1 == f2
 
 
-def test_run_empty_stream(tmp_path):
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["ablate"], ["sweep", "--axis", "batch-size"], ["render", "--which", "vd"]],
+    ids=["run", "ablate", "sweep", "render"],
+)
+def test_zero_batches_exit_1_naming_the_field(tmp_path, capsys, command):
     out = tmp_path / "out"
-    code = run_cli("run", *FAST, "--n-batches", "0", "--mode", "vd", "--seeds", "0", "--out", str(out))
-    assert code == 0
-    trace = (out / "trace_vd_seed0.csv").read_text().splitlines()
-    assert len(trace) == 1  # header only
+    code = run_cli(*command, *FAST, "--feature-dim", "2", "--n-batches", "0", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == "error: n_batches must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_ablate_emits_three_mode_rows(tmp_path):
@@ -141,6 +149,8 @@ def test_sweep_batch_size_shape(tmp_path):
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "axis,value,mode,mean_error,std_error,n_seeds"
     assert len(rows) == 1 + 2 * 3  # 2 values x 3 modes
+    # the value column reads the batch size applied, as on the default axis
+    assert [r.split(",")[1] for r in rows[1:]] == ["8"] * 3 + ["4"] * 3
 
 
 def test_render_writes_svg(tmp_path):
@@ -178,6 +188,13 @@ def test_exit_codes():
         ("--n-train-per-class", "0", "n_train_per_class"),
         ("--batch-size", "0", "batch_size"),
         ("--n-batches", "-1", "n_batches"),
+        ("--n-batches", "0", "n_batches"),
+        ("--severity", "7", "severity"),
+        ("--raw-dim", "5", "raw_dim"),
+        ("--corruption", "fog", "corruption"),
+        ("--steps-per-batch", "0", "steps_per_batch"),
+        ("--site-fraction", "1.5", "site_fraction"),
+        ("--grid", "4", "render_grid"),
     ],
 )
 def test_non_finite_hyperparameters_exit_1_naming_the_field(tmp_path, capsys, flag, value, name):
@@ -185,6 +202,7 @@ def test_non_finite_hyperparameters_exit_1_naming_the_field(tmp_path, capsys, fl
     assert code == 1
     err = capsys.readouterr().err
     assert name in err
+    assert value.replace(",", ", ") in err  # a list prints as [0, 0]
     # batch_size and n_batches are checked apart: each error names only its own field
     other = {"batch_size": "n_batches", "n_batches": "batch_size"}.get(name)
     assert other is None or other not in err
@@ -226,7 +244,9 @@ def test_diverging_online_loop_exits_2_without_warnings(tmp_path, capsys, steps,
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("axis, values", [("batch-size", "12.7"), ("alpha", ",")])
+@pytest.mark.parametrize(
+    "axis, values", [("batch-size", "12.7"), ("alpha", ","), ("batch-size", "16,16")]
+)
 def test_bad_sweep_values_exit_1_naming_the_field(tmp_path, capsys, axis, values):
     code = run_cli("sweep", *FAST, "--axis", axis, "--values", values, "--seeds", "0",
                    "--out", str(tmp_path / "out"))

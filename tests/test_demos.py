@@ -20,6 +20,7 @@ DEMO_SVGS = {
     "02_online_adaptation.py": (),
     "03_sample_filtering.py": ("subtraction.svg",),
     "04_distance_report.py": (),
+    "05_shift_and_robustness_sweeps.py": (),
 }
 
 

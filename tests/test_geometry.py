@@ -335,7 +335,6 @@ def test_cells_two_sites_bisector():
     cells = compute_cells_2d(p, (-1, 3, -1, 1))
     for cell in cells:
         assert isinstance(cell, CellPolygon2D)
-        assert cell.clipped
         xs = cell.vertices[:, 0]
         if cell.cell_index == 0:
             assert xs.max() == pytest.approx(1.0)

@@ -1,5 +1,7 @@
 """SVG rendering: structure of the documents and grid/polygon fidelity."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,18 @@ def test_raster_svg_rle_merges_rows():
     mask[1, 2:5] = True
     svg2 = raster_svg(grid, (0, 8, 0, 4), highlight=mask)
     assert svg2.count("<rect") == 8 + 1  # one overlay run for the mask
+    # runs that touch the row ends: on at both edges, and on everywhere
+    mask[2, [0, 7]] = True
+    mask[3, :] = True
+    svg3 = raster_svg(grid, (0, 8, 0, 4), highlight=mask)
+    overlays = re.findall(r'<rect x="([\d.]+)" y="([\d.]+)" width="([\d.]+)"[^>]*#1a1a1a', svg3)
+    # 80 px per column; grid row 0 is the bottom, so row 2 sits at y 80 and row 3 at y 0
+    assert overlays == [
+        ("160.00", "160.00", "240.00"),
+        ("0.00", "80.00", "80.00"),
+        ("560.00", "80.00", "80.00"),
+        ("0.00", "0.00", "640.00"),
+    ]
 
 
 def test_assignment_grid_pixel_centers():
