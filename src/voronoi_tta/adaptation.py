@@ -4,7 +4,7 @@ The model is a frozen linear map followed by a trainable per-dimension
 affine: ``z = scale * (frozen_map @ x) + shift``. At each online batch the
 stream loop scores samples against the diagram in use (VD, CIVD, or CIPD),
 turns the scores into temperature-softmax soft labels, records predictions,
-and then takes plain gradient-descent steps on the mean soft-label entropy
+and then takes one plain gradient-descent step on the mean soft-label entropy
 with respect to ``scale`` and ``shift`` only. Predictions are always recorded
 before the batch is adapted on.
 """
@@ -73,14 +73,14 @@ class FeatureExtractor:
 class AdaptConfig:
     """Hyperparameters of the infer/adapt loop.
 
-    ``learning_rate`` 0 runs the loop frozen (no parameter updates), which is
-    the baseline used by the adaptation-benefit checks.
+    Each batch gets one gradient step of size ``learning_rate``; 0 runs the
+    loop frozen (no parameter updates), which is the baseline used by the
+    adaptation-benefit checks.
     """
 
     mode: str = "vd"
     tau: float = 1.0
     learning_rate: float = 0.1
-    steps_per_batch: int = 1
     influence: InfluenceConfig = field(default_factory=InfluenceConfig)
     filtering: bool = False
 
@@ -93,8 +93,6 @@ class AdaptConfig:
             raise ValueError(
                 f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
             )
-        if self.steps_per_batch < 1:
-            raise ValueError(f"steps_per_batch must be >= 1, got {self.steps_per_batch}")
 
 
 @dataclass
@@ -257,17 +255,17 @@ def run_stream(fe: FeatureExtractor, stream, c: ClusterSiteSet, cfg: AdaptConfig
 
     For each batch in order: features, per-class scores for the configured
     mode, soft labels and hard predictions (recorded before any update),
-    the keep mask (diagram-subtraction filter when ``cfg.filtering``), then
-    ``steps_per_batch`` gradient steps on the kept samples' mean entropy.
-    Hidden labels on the batches are never read here; error columns are
-    attached afterwards by the metrics module.
+    the keep mask (diagram-subtraction filter when ``cfg.filtering``), the
+    kept samples' mean entropy and its gradient, then one gradient step
+    unless the run is frozen (``learning_rate`` 0). Hidden labels on the
+    batches are never read here; error columns are attached afterwards by
+    the metrics module.
     """
     trace = RunTrace(mode=cfg.mode)
-    adapting = cfg.learning_rate > 0
     # The VD filter compares the VD and PD cells of the identity sites.
     filter_clusters = ClusterSiteSet(c.clusters[:, :1], c.weight_sq) if cfg.mode == "vd" else c
     # Overflow is not warned about: every non-finite value is reported below
-    # as a DivergenceError that names the mode, batch and step.
+    # as a DivergenceError that names the mode and batch.
     with np.errstate(all="ignore"):
         for t, batch in enumerate(stream):
             where = f"{cfg.mode} mode, batch {t}"
@@ -287,18 +285,14 @@ def run_stream(fe: FeatureExtractor, stream, c: ClusterSiteSet, cfg: AdaptConfig
             else:
                 keep = np.ones(inputs.shape[0], dtype=bool)
 
-            # A frozen run (learning_rate 0) evaluates the loss once and takes no step.
-            for step in range(cfg.steps_per_batch if adapting else 1):
-                step_loss, grad_scale, grad_shift = batch_loss_and_grad(fe, inputs, c, cfg, keep)
-                if not np.isfinite(step_loss):
-                    raise DivergenceError(f"non-finite loss in {where}, step {step}")
-                if step == 0:
-                    loss = step_loss
-                if adapting:
-                    try:
-                        fe = adapt_step(fe, grad_scale, grad_shift, cfg.learning_rate)
-                    except DivergenceError as exc:
-                        raise DivergenceError(f"{exc} in {where}, step {step}") from None
+            loss, grad_scale, grad_shift = batch_loss_and_grad(fe, inputs, c, cfg, keep)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite loss in {where}")
+            if cfg.learning_rate > 0:
+                try:
+                    fe = adapt_step(fe, grad_scale, grad_shift, cfg.learning_rate)
+                except DivergenceError as exc:
+                    raise DivergenceError(f"{exc} in {where}") from None
 
             record = BatchRecord(
                 batch_index=t, predictions=preds, confidences=conf, keep_mask=keep, mean_loss=loss

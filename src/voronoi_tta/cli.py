@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .adaptation import AdaptConfig, DivergenceError, trace_csv_lines, trace_summary
 from .experiments import (
-    MODES,
     RENDER_KINDS,
     SWEEP_AXES,
     ExperimentSpec,
@@ -38,11 +37,7 @@ def _parse_seeds(text: str) -> tuple:
 
 
 def _parse_modes(text: str) -> tuple:
-    modes = tuple(v.strip().lower() for v in text.replace(",", " ").split())
-    for m in modes:
-        if m not in MODES:
-            raise ValueError(f"unknown mode {m!r}")
-    return modes
+    return tuple(v.lower() for v in text.replace(",", " ").split())
 
 
 def _parse_alpha(text: str):
@@ -92,7 +87,6 @@ KEYS = {
     "distance_floor": (
         float, "clamp floor for influence terms", ("influence", "distance_floor")
     ),
-    "steps_per_batch": (int, "gradient steps per batch", ("adapt", "steps_per_batch")),
     "filter": (_parse_filter, "sample filtering: auto, true, or false", ("spec", "filtering")),
     "site_fraction": (
         float, "fraction of source data used for estimation", ("spec", "site_fraction")
@@ -242,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run": "run the (mode, seed) grid and write traces plus a summary",
         "ablate": "compare the --mode modes (default all three) on identical streams",
         "sweep": "vary one axis (batch-size, alpha, site-fraction)",
-        "render": "render a 2-D diagram to SVG",
+        "render": "render one seed's 2-D diagram to SVG "
+        "(reads no --mode, --lr, --tau or --filter)",
     }
     parsers = {}
     for name, help_text in specs.items():

@@ -175,18 +175,22 @@ def sweep_rows(spec: ExperimentSpec, axis: str, values=None) -> list[dict]:
     values = SWEEP_AXES[axis] if values is None else tuple(values)
     if not values or len(set(values)) != len(values):
         raise ValueError(f"values must be nonempty and distinct, got {list(values)}")
-    if axis == "batch_size":
-        if not all(float(v).is_integer() for v in values):
-            raise ValueError(f"values: batch sizes must be integers, got {list(values)}")
-        values = tuple(int(v) for v in values)
-    rows = []
-    for value in values:
+    # Every point is built, and so checked, before the first one runs.
+    try:
         if axis == "batch_size":
-            point = replace(spec, stream=replace(spec.stream, batch_size=value))
+            if not all(float(v).is_integer() for v in values):
+                raise ValueError(f"batch sizes must be integers, got {list(values)}")
+            values = tuple(int(v) for v in values)
+            points = [replace(spec, stream=replace(spec.stream, batch_size=v)) for v in values]
         elif axis == "alpha":
-            point = replace(spec, stream=replace(spec.stream, label_shift_alpha=float(value)))
+            streams = [replace(spec.stream, label_shift_alpha=float(v)) for v in values]
+            points = [replace(spec, stream=s) for s in streams]
         else:
-            point = replace(spec, site_fraction=float(value))
+            points = [replace(spec, site_fraction=float(v)) for v in values]
+    except ValueError as exc:
+        raise ValueError(f"values: {exc}") from None
+    rows = []
+    for value, point in zip(values, points):
         traces = run_grid(point)
         for stat in mode_statistics(traces, point.modes, point.seeds):
             rows.append({"axis": axis, "value": value, **stat})
@@ -209,7 +213,8 @@ def _render_bbox(clusters: ClusterSiteSet, scatter: np.ndarray) -> tuple:
 def render_diagram(spec: ExperimentSpec, which: str) -> tuple[str, dict]:
     """SVG text for one diagram kind plus the data used to draw it.
 
-    Requires a 2-D feature space. The returned extras hold the bbox and
+    Requires a 2-D feature space and exactly one seed. Reads no adaptation
+    setting but the influence config. The returned extras hold the bbox and
     either the cell polygons or the sampled assignment grid so callers can
     cross-check the drawing against the assignment operations.
     """
@@ -217,6 +222,8 @@ def render_diagram(spec: ExperimentSpec, which: str) -> tuple[str, dict]:
         raise ValueError(f"which must be one of {RENDER_KINDS}")
     if spec.stream.feature_dim != 2:
         raise ValueError("rendering requires feature_dim = 2")
+    if len(spec.seeds) != 1:
+        raise ValueError(f"seeds must be a single seed to render, got {list(spec.seeds)}")
     prepared = prepare_run(spec.stream, spec.seeds[0], spec.site_fraction)
     clusters = prepared.clusters
     influence = spec.adapt.influence

@@ -73,7 +73,6 @@ def test_00_default_configuration_pins():
     assert DEFAULT_STREAM.batch_size == 64
     assert DEFAULT_ADAPT.tau == 1.0
     assert DEFAULT_ADAPT.influence.gamma == -0.8
-    assert DEFAULT_ADAPT.steps_per_batch == 1
 
 
 # --- criterion 1: geometry assignments vs exhaustive brute force ------------

@@ -87,7 +87,7 @@ def test_frozen_map_is_read_only():
     assert fe.frozen_map[0, 0] == 1.0
 
 
-@pytest.mark.parametrize("name, value", [("mode", "bogus"), ("steps_per_batch", 0)])
+@pytest.mark.parametrize("name, value", [("mode", "bogus")])
 def test_adapt_config_errors_name_the_field_and_value(name, value):
     with pytest.raises(ValueError, match=f"^{name} .*, got {value!r}$"):
         AdaptConfig(**{name: value})
@@ -414,15 +414,11 @@ def test_non_finite_scores_give_a_non_finite_loss():
     assert np.isnan(loss)
 
 
-@pytest.mark.parametrize(
-    "steps, where",
-    [(1, "vd mode, batch 1$"), (3, "vd mode, batch 0, step 1$")],
-    ids=["one-step", "three-steps"],
-)
-def test_divergence_names_mode_batch_and_step(steps, where):
+@pytest.mark.parametrize("where", ["vd mode, batch 1$"], ids=["one-step"])
+def test_divergence_names_mode_batch_and_step(where):
     rng, fe, clusters = random_setup(13)
     stream = make_stream(rng, clusters, fe)
-    cfg = AdaptConfig(mode="vd", learning_rate=1e300, steps_per_batch=steps)
+    cfg = AdaptConfig(mode="vd", learning_rate=1e300)
     with pytest.raises(DivergenceError, match=where):
         run_stream(fe, stream, clusters, cfg)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from voronoi_tta import experiments
 from voronoi_tta.cli import build_spec, main, read_config_file
 from voronoi_tta.experiments import _prepare_source
 
@@ -49,6 +50,18 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg.write_text("not_a_key = 3\n")
     with pytest.raises(ValueError):
         read_config_file(cfg)
+
+
+def test_removed_steps_per_batch_key_exits_1(tmp_path, capsys):
+    # one gradient step per batch is fixed; an old config that set the key fails loudly
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("steps_per_batch = 2\n")
+    out = tmp_path / "out"
+    assert run_cli("run", *FAST, "--config", str(cfg), "--out", str(out)) == 1
+    assert "steps_per_batch" in capsys.readouterr().err
+    assert run_cli("run", *FAST, "--steps-per-batch", "2", "--out", str(out)) == 1
+    assert "--steps-per-batch" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flag_overrides_config(tmp_path):
@@ -165,6 +178,16 @@ def test_render_writes_svg(tmp_path):
     assert svg.startswith("<svg") and "<polygon" in svg
 
 
+def test_render_with_two_seeds_exits_1_naming_seeds(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("render", "--which", "vd", *FAST, "--feature-dim", "2", "--seeds", "3,4",
+                   "--lr", "5", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "seeds" in err and "[3, 4]" in err
+    assert not out.exists()
+
+
 def test_exit_codes():
     assert run_cli("run", "--corruption", "fog") == 1  # config error
     assert run_cli("render", "--which", "vd", *FAST) == 1  # feature_dim != 2
@@ -192,7 +215,6 @@ def test_exit_codes():
         ("--severity", "7", "severity"),
         ("--raw-dim", "5", "raw_dim"),
         ("--corruption", "fog", "corruption"),
-        ("--steps-per-batch", "0", "steps_per_batch"),
         ("--site-fraction", "1.5", "site_fraction"),
         ("--grid", "4", "render_grid"),
     ],
@@ -209,11 +231,14 @@ def test_non_finite_hyperparameters_exit_1_naming_the_field(tmp_path, capsys, fl
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("modes", [",", "cipd,cipd"])
+@pytest.mark.parametrize("modes", [",", "cipd,cipd", "bogus"])
 def test_empty_or_repeated_modes_exit_1_naming_the_field(tmp_path, capsys, modes):
     code = run_cli("run", *FAST, "--mode", modes, "--out", str(tmp_path / "out"))
     assert code == 1
-    assert "mode" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "mode" in err
+    if modes == "bogus":
+        assert "'bogus'" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -228,26 +253,29 @@ def test_diverging_head_fit_exits_2_without_warnings(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize(
-    "steps, where", [("1", "batch 1"), ("3", "batch 0, step 1")], ids=["one-step", "three-steps"]
-)
-def test_diverging_online_loop_exits_2_without_warnings(tmp_path, capsys, steps, where):
+@pytest.mark.parametrize("where", ["batch 1"], ids=["one-step"])
+def test_diverging_online_loop_exits_2_without_warnings(tmp_path, capsys, where):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run_cli("run", "--seeds", "0", "--n-batches", "6", "--n-train-per-class", "50",
-                       "--mode", "vd", "--lr", "1e300", "--steps-per-batch", steps,
-                       "--out", str(tmp_path / "out"))
+                       "--mode", "vd", "--lr", "1e300", "--out", str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("numeric failure:") and err.count("\n") == 1
-    assert f"vd mode, {where}" in err
+    assert err.rstrip().endswith(f"vd mode, {where}")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize(
-    "axis, values", [("batch-size", "12.7"), ("alpha", ","), ("batch-size", "16,16")]
+    "axis, values",
+    [("batch-size", "12.7"), ("alpha", ","), ("batch-size", "16,16"), ("alpha", "1,0"),
+     ("site-fraction", "1,2")],
 )
-def test_bad_sweep_values_exit_1_naming_the_field(tmp_path, capsys, axis, values):
+def test_bad_sweep_values_exit_1_naming_the_field(tmp_path, capsys, monkeypatch, axis, values):
+    def unexpected(*args):
+        raise AssertionError("a source was prepared before every value was checked")
+
+    monkeypatch.setattr(experiments, "prepare_run", unexpected)
     code = run_cli("sweep", *FAST, "--axis", axis, "--values", values, "--seeds", "0",
                    "--out", str(tmp_path / "out"))
     assert code == 1
