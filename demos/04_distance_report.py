@@ -13,7 +13,9 @@ import numpy as np
 
 from voronoi_tta import FeatureExtractor, StreamConfig
 from voronoi_tta.metrics import distance_report_csv_lines, sample_distance_report
-from voronoi_tta.streams import VIEW_ANGLES, expand_cluster_sites, gen_source, gen_stream
+from voronoi_tta.streams import (
+    VIEW_ANGLES, expand_cluster_sites, feature_views, gen_source, gen_stream,
+)
 
 cfg = StreamConfig(
     n_classes=5, raw_dim=6, feature_dim=8, n_train_per_class=500,
@@ -22,7 +24,7 @@ cfg = StreamConfig(
 )
 x, y = gen_source(cfg)
 fe = FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, 6)
-clusters = expand_cluster_sites(x, y, fe, cfg.n_classes)
+clusters = expand_cluster_sites(feature_views(fe, x), y, cfg.n_classes)
 
 rescued = None
 for batch in gen_stream(cfg):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .metrics import score_trace
 from .streams import (
     StreamConfig,
     expand_cluster_sites,
+    feature_views,
     fit_power_weights,
     gen_source,
     gen_stream,
@@ -117,9 +119,10 @@ def _prepare_source(
     x, y = gen_source(source_cfg)
     xs, ys = subsample_per_class(x, y, site_fraction, source_cfg.seed)
     fe = FeatureExtractor.seeded(source_cfg.raw_dim, source_cfg.feature_dim, source_cfg.seed)
-    clusters = expand_cluster_sites(xs, ys, fe, source_cfg.n_classes)
-    weight_sq = fit_power_weights(xs, ys, fe, source_cfg.n_classes)
-    return fe, clusters.with_weights(weight_sq)
+    views = feature_views(fe, xs)
+    feats = next(views)  # view 0 is the identity: forward(fe, xs)
+    clusters = expand_cluster_sites(chain([feats], views), ys, source_cfg.n_classes)
+    return fe, clusters.with_weights(fit_power_weights(feats, ys, source_cfg.n_classes))
 
 
 def prepare_run(stream_cfg: StreamConfig, seed: int, site_fraction: float = 1.0) -> PreparedRun:

@@ -221,74 +221,96 @@ def feature_views(fe: FeatureExtractor, x):
         yield forward(fe, _rotate_pairs(x, angle))
 
 
-def expand_cluster_sites(x, y, fe: FeatureExtractor, n_classes: int) -> ClusterSiteSet:
-    """Cluster k holds one site per view: the per-class mean feature of the
-    rotated training inputs, in VIEW_ANGLES order."""
+def expand_cluster_sites(views, y, n_classes: int) -> ClusterSiteSet:
+    """Cluster k holds one site per view: the per-class mean of each view's
+    features, such as ``feature_views(fe, x)``, in VIEW_ANGLES order."""
     y = np.asarray(y, dtype=int)
     _check_classes(y, n_classes)
-    per_view = [
-        np.stack([feats[y == k].mean(axis=0) for k in range(n_classes)])
-        for feats in feature_views(fe, x)
-    ]
-    return ClusterSiteSet(np.stack(per_view, axis=1))  # (K, A, feature_dim)
+    # map holds no view while the next is computed, unlike a loop variable
+    per_view = map(lambda v: np.stack([v[y == k].mean(axis=0) for k in range(n_classes)]), views)
+    return ClusterSiteSet(np.stack(list(per_view), axis=1))  # (K, A, feature_dim)
 
 
-# The power weights are defined by this fit: HEAD_STEPS full-batch gradient
-# steps of size HEAD_LEARNING_RATE from zero, with L2 penalty HEAD_L2. They
-# are this iterate, not the minimiser of the penalised loss, so a different
-# optimiser would define different weights. The fairly strong L2 keeps the
-# weights bounded on separable data and near the scale of the site geometry.
-# The iterate is defined by its arithmetic, not by its memory layout: layouts
-# round differently, and test_streams.py pins this loop to an (n, K)
-# reference loop at 1e-12.
-HEAD_LEARNING_RATE = 0.5
-HEAD_STEPS = 300
+# The power weights are defined as the minimiser of mean softmax cross-entropy
+# plus HEAD_L2 * |W|^2 / 2 (bias unpenalised): strongly convex in W, but equal
+# when every bias moves by the same amount, so unique up to the bias sum. From
+# zero, the class sums of b and of the W rows stay zero, as do those of their
+# gradients, so the fit keeps sum(b) = 0 (and fit_power_weights mean-centres
+# the squared weights). The fit stops at max |grad| < HEAD_GTOL.
 HEAD_L2 = 0.3
+HEAD_GTOL = 1e-8
+HEAD_MAX_STEPS = 2000
+_HEAD_MEMORY = 10
+
+
+def _head_objective(theta, f, onehot, mu):
+    """Objective, gradient and max |gradient| in (W, b) at theta = [W | c]; the
+    logits W (f - mu) + c = W f + b are (K, n) so the softmax runs in place."""
+    w = theta[:, :-1]
+    p = w @ f.T
+    p += theta[:, -1:] - w @ mu[:, None]
+    p -= p.max(axis=0)
+    picked = np.vdot(onehot, p)
+    np.exp(p, out=p)
+    total = p.sum(axis=0)
+    loss = (np.log(total).sum() - picked) / len(f) + 0.5 * HEAD_L2 * np.vdot(w, w)
+    p /= total
+    p -= onehot
+    p /= len(f)
+    gw, gc = p @ f + HEAD_L2 * w, p.sum(axis=1, keepdims=True)  # the (W, b) gradient
+    return loss, np.concatenate([gw - gc * mu, gc], axis=1), max(abs(gw).max(), abs(gc).max())
+
+
+def _lbfgs_direction(grad, pairs):
+    """Two-loop recursion: minus the inverse-Hessian estimate times grad."""
+    q, alphas = grad.copy(), []
+    for s, d, rho in reversed(pairs):
+        alphas.append(rho * np.vdot(s, q))
+        q -= alphas[-1] * d
+    if pairs:  # scale by s.d / d.d of the newest pair
+        q /= pairs[-1][2] * np.vdot(pairs[-1][1], pairs[-1][1])
+    for (s, d, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * np.vdot(d, q)) * s
+    return -q
 
 
 def fit_logistic_head(features, labels, n_classes: int) -> LogisticHead:
-    """Full-batch gradient descent on softmax cross-entropy from zero init;
-    zero initialization keeps symmetric sources symmetric.
-
-    Logits are held class-major, (K, n), so the softmax reduces over the short
-    leading axis and runs in place; the inputs are never written.
-    """
+    """The minimiser defined above, by L-BFGS from zero with Armijo backtracking
+    (one step per objective evaluation, at most HEAD_MAX_STEPS), in c = b + W mu:
+    the same minimiser, far better conditioned when the features share a large
+    mean. A zero start keeps symmetric sources symmetric; inputs are not written."""
     f = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)
     _check_classes(y, n_classes)
-    n, dim = f.shape
-    w = np.zeros((n_classes, dim))
-    b = np.zeros(n_classes)
-    onehot = np.zeros((n_classes, n))
-    onehot[y, np.arange(n)] = 1.0
+    onehot = (np.arange(n_classes)[:, None] == y).astype(float)  # (K, n)
+    theta = np.zeros((n_classes, f.shape[1] + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(HEAD_STEPS):
-            p = w @ f.T
-            p += b[:, None]
-            p -= p.max(axis=0)
-            np.exp(p, out=p)
-            p /= p.sum(axis=0)
-            if not np.all(np.isfinite(p)):
+        mu = f.mean(axis=0)
+        loss, grad, gmax = _head_objective(theta, f, onehot, mu)
+        direction, t, pairs = -grad, 1.0, []
+        for step in range(HEAD_MAX_STEPS):
+            if gmax < HEAD_GTOL:
+                return LogisticHead(theta[:, :-1].copy(), theta[:, -1] - theta[:, :-1] @ mu)
+            trial = theta + t * direction
+            trial_loss, trial_grad, trial_gmax = _head_objective(trial, f, onehot, mu)
+            if not np.isfinite(trial_loss):
                 raise DivergenceError(f"logistic head fitting diverged at step {step}")
-            p -= onehot
-            p /= n
-            w -= HEAD_LEARNING_RATE * (p @ f + HEAD_L2 * w)
-            b -= HEAD_LEARNING_RATE * p.sum(axis=1)
-    return LogisticHead(w, b)
+            if trial_loss > loss + 1e-4 * t * np.vdot(grad, direction):
+                t /= 2
+                continue
+            s, d = trial - theta, trial_grad - grad
+            if np.vdot(s, d) > 0:
+                pairs = pairs[1 - _HEAD_MEMORY:] + [(s, d, 1.0 / np.vdot(s, d))]
+            theta, loss, grad, gmax = trial, trial_loss, trial_grad, trial_gmax
+            direction, t = _lbfgs_direction(grad, pairs), 1.0
+    raise DivergenceError(f"logistic head fitting did not converge by step {HEAD_MAX_STEPS}")
 
 
-def fit_power_weights(x, y, fe: FeatureExtractor, n_classes: int) -> Array:
-    """Per-class squared power weights from a source-fit logistic head.
-
-    The head is fit on the clean training features and converted to its power
-    diagram; the squared weights are returned mean-centered and aligned to
-    class order. Centering leaves every power-distance argmin unchanged while
-    keeping the power terms d^2 - v^2 away from the clamp floor.
-    """
-    head = fit_logistic_head(forward(fe, x), y, n_classes)
-    weight_sq = logistic_to_power(head).weight_sq
-    if not np.all(np.isfinite(weight_sq)):
-        raise DivergenceError("power weights are not finite")
+def fit_power_weights(features, y, n_classes: int) -> Array:
+    """Squared power weights, in class order, of the logistic head fit on the
+    clean source features, mean-centered: centering leaves every power-distance
+    argmin unchanged while keeping the power terms d^2 - v^2 off the clamp floor."""
+    weight_sq = logistic_to_power(fit_logistic_head(features, y, n_classes)).weight_sq
     return weight_sq - weight_sq.mean()
 
 

@@ -119,7 +119,7 @@ def make_traced_run(seed=0, n_batches=4):
     )
     x, y = gen_source(cfg)
     fe = FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, seed)
-    clusters = expand_cluster_sites(x, y, fe, cfg.n_classes)
+    clusters = expand_cluster_sites(feature_views(fe, x), y, cfg.n_classes)
     clusters = clusters.with_weights(np.zeros(cfg.n_classes))
     stream = [
         Batch(inputs=rng.normal(size=(10, 4)), hidden_labels=rng.integers(0, 3, 10))
@@ -183,7 +183,7 @@ def report_setup(seed=0):
     )
     x, y = gen_source(cfg)
     fe = FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, seed)
-    clusters = expand_cluster_sites(x, y, fe, cfg.n_classes)
+    clusters = expand_cluster_sites(feature_views(fe, x), y, cfg.n_classes)
     return cfg, fe, clusters
 
 
@@ -222,7 +222,7 @@ def test_report_flags_aggregation_rescue():
     )
     x, y = gen_source(cfg)
     fe = FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, 6)
-    clusters = expand_cluster_sites(x, y, fe, cfg.n_classes)
+    clusters = expand_cluster_sites(feature_views(fe, x), y, cfg.n_classes)
     found = None
     for batch in gen_stream(cfg):
         for sample, label in zip(batch.inputs, batch.hidden_labels):

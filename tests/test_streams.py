@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from voronoi_tta import streams
 from voronoi_tta.adaptation import DivergenceError, FeatureExtractor, forward
 from voronoi_tta.geometry import ClusterSiteSet, logistic_to_power, pd_assign
 from voronoi_tta.streams import (
+    HEAD_GTOL,
+    HEAD_L2,
     VIEW_ANGLES,
     StreamConfig,
     class_means,
@@ -101,7 +104,8 @@ def make_extractor(cfg, seed=0):
 
 def identity_sites(x, y, fe, n_classes):
     """Per-class mean features: the identity-view sites, one per cell."""
-    return ClusterSiteSet(expand_cluster_sites(x, y, fe, n_classes).clusters[:, :1])
+    clusters = expand_cluster_sites(feature_views(fe, x), y, n_classes)
+    return ClusterSiteSet(clusters.clusters[:, :1])
 
 
 def test_one_sample_per_class_sites_equal_features():
@@ -133,7 +137,7 @@ def test_rotation_invariant_inputs_collapse_clusters():
     fe = FeatureExtractor(np.eye(4), np.ones(4), np.zeros(4))
     x = np.zeros((6, 4))
     y = np.array([0, 0, 0, 1, 1, 1])
-    clusters = expand_cluster_sites(x, y, fe, 2)
+    clusters = expand_cluster_sites(feature_views(fe, x), y, 2)
     for k in range(2):
         for alpha in range(4):
             np.testing.assert_allclose(clusters.clusters[k, alpha], clusters.clusters[k, 0])
@@ -142,7 +146,7 @@ def test_rotation_invariant_inputs_collapse_clusters():
 def test_cluster_sites_match_groupby_oracle():
     x, y = gen_source(SMALL)
     fe = make_extractor(SMALL)
-    clusters = expand_cluster_sites(x, y, fe, SMALL.n_classes)
+    clusters = expand_cluster_sites(feature_views(fe, x), y, SMALL.n_classes)
     for alpha, rotated in enumerate(raw_views(x)):
         feats = forward(fe, rotated)
         for k in range(SMALL.n_classes):
@@ -160,8 +164,8 @@ def test_symmetric_source_gives_equal_weights():
     x = np.vstack([x0, -x0])
     y = np.array([0, 0, 0, 1, 1, 1])
     fe = FeatureExtractor(np.eye(2), np.ones(2), np.zeros(2))
-    w = fit_power_weights(x, y, fe, 2)
-    assert abs(w[0] - w[1]) < 1e-2
+    w = fit_power_weights(forward(fe, x), y, 2)
+    assert abs(w[0] - w[1]) < 1e-12
     assert np.all(np.isfinite(w))
 
 
@@ -181,38 +185,75 @@ def test_converted_head_reproduces_logit_argmax():
 def test_power_weights_are_centered():
     x, y = gen_source(SMALL)
     fe = make_extractor(SMALL)
-    w = fit_power_weights(x, y, fe, SMALL.n_classes)
+    w = fit_power_weights(forward(fe, x), y, SMALL.n_classes)
     assert abs(w.mean()) < 1e-12
 
 
-# On SMALL the iterate has converged to within 2e-12 of the minimiser; on this
-# 10-class source it is still moving (299 and 300 steps differ by ~7e-7), so
-# the oracle also pins the step count and the step size.
+# A 10-class source on which 300 steps of gradient descent from zero, the
+# fit that defined the weights before, were still moving by ~7e-7 per step.
 UNCONVERGED = StreamConfig(
     n_classes=10, raw_dim=16, feature_dim=32, n_train_per_class=50, seed=42,
 )
+# Features with a large common mean (up to 11 per coordinate): the fit solves
+# for the centred bias, but must meet HEAD_GTOL in (W, b).
+SHIFTED = StreamConfig(
+    n_classes=3, raw_dim=6, feature_dim=8, n_train_per_class=200, class_mean_scale=3.0, seed=41,
+)
 
 
-@pytest.mark.parametrize("cfg", [SMALL, UNCONVERGED], ids=["small", "unconverged"])
-def test_logistic_head_is_the_300_step_iterate_from_zero(cfg):
-    # The power weights are defined as this iterate: 300 full-batch gradient
-    # steps of size 0.5 on mean softmax cross-entropy plus 0.3 * |W|^2 / 2
-    # (bias unpenalised), from zero, with (n, K) logits and residuals.
+def head_objective(theta, f, y, k):
+    """Mean softmax cross-entropy plus HEAD_L2 * |W|^2 / 2 at theta = [W | b],
+    and its gradient, with (n, K) logits and residuals."""
+    n = len(y)
+    params = theta.reshape(k, -1)
+    w, b = params[:, :-1], params[:, -1]
+    logits = f @ w.T + b
+    logits -= logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits).sum(axis=1))
+    loss = np.mean(lse - logits[np.arange(n), y]) + HEAD_L2 * np.sum(w * w) / 2
+    resid = (np.exp(logits - lse[:, None]) - np.eye(k)[y]) / n
+    grad = np.column_stack([resid.T @ f + HEAD_L2 * w, resid.sum(axis=0)])
+    return loss, grad.ravel()
+
+
+def head_source(cfg):
     x, y = gen_source(cfg)
-    f = forward(make_extractor(cfg), x)
-    n, k = len(y), cfg.n_classes
-    onehot = np.eye(k)[y]
-    w = np.zeros((k, f.shape[1]))
-    b = np.zeros(k)
-    for _ in range(300):
-        logits = f @ w.T + b
-        p = np.exp(logits - logits.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
-        resid = (p - onehot) / n
-        w, b = w - 0.5 * (resid.T @ f + 0.3 * w), b - 0.5 * resid.sum(axis=0)
+    return forward(make_extractor(cfg), x), y
+
+
+@pytest.mark.parametrize(
+    "cfg", [SMALL, UNCONVERGED, SHIFTED], ids=["small", "unconverged", "shifted"]
+)
+def test_logistic_head_is_the_minimiser(cfg):
+    from scipy.optimize import minimize
+
+    f, y = head_source(cfg)
+    k = cfg.n_classes
     head = fit_logistic_head(f, y, k)
-    np.testing.assert_allclose(head.weights, w, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(head.bias, b, rtol=1e-12, atol=1e-12)
+    theta = np.column_stack([head.weights, head.bias]).ravel()
+    assert np.abs(head_objective(theta, f, y, k)[1]).max() <= HEAD_GTOL
+    oracle = minimize(
+        head_objective, np.zeros_like(theta), args=(f, y, k), jac=True, method="L-BFGS-B",
+        options={"ftol": 0.0, "gtol": 1e-11, "maxiter": 10_000, "maxfun": 20_000},
+    )
+    np.testing.assert_allclose(theta, oracle.x, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "cfg", [SMALL, UNCONVERGED, SHIFTED], ids=["small", "unconverged", "shifted"]
+)
+def test_logistic_head_bias_sums_to_zero(cfg):
+    # the objective is invariant to a common bias shift; from zero the fit
+    # picks the representative with sum(b) = 0
+    f, y = head_source(cfg)
+    assert abs(fit_logistic_head(f, y, cfg.n_classes).bias.sum()) < 1e-12
+
+
+def test_logistic_head_iteration_cap_names_the_step(monkeypatch):
+    monkeypatch.setattr(streams, "HEAD_MAX_STEPS", 3)
+    f, y = head_source(SMALL)
+    with pytest.raises(DivergenceError, match="logistic head fitting did not converge by step 3"):
+        fit_logistic_head(f, y, SMALL.n_classes)
 
 
 def test_logistic_head_leaves_its_inputs_untouched():
@@ -229,12 +270,12 @@ def test_logistic_head_leaves_its_inputs_untouched():
 
 
 def test_logistic_head_divergence_names_the_step():
-    # the first step moves w to ~1e200, so the second step's logits overflow;
-    # the fit must raise, not warn (warnings are errors in this suite)
+    # the first trial step moves w to ~1e200, so its logits overflow; the fit
+    # must raise, not warn (warnings are errors in this suite)
     f = np.full((4, 2), 1e200)
     f[2:] *= -1.0
     y = np.array([0, 0, 1, 1])
-    with pytest.raises(DivergenceError, match="logistic head fitting diverged at step 1"):
+    with pytest.raises(DivergenceError, match="logistic head fitting diverged at step 0"):
         fit_logistic_head(f, y, 2)
 
 
