@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -119,10 +118,11 @@ def _prepare_source(
     x, y = gen_source(source_cfg)
     xs, ys = subsample_per_class(x, y, site_fraction, source_cfg.seed)
     fe = FeatureExtractor.seeded(source_cfg.raw_dim, source_cfg.feature_dim, source_cfg.seed)
-    views = feature_views(fe, xs)
-    feats = next(views)  # view 0 is the identity: forward(fe, xs)
-    clusters = expand_cluster_sites(chain([feats], views), ys, source_cfg.n_classes)
-    return fe, clusters.with_weights(fit_power_weights(feats, ys, source_cfg.n_classes))
+    k = source_cfg.n_classes
+    weight_sq = fit_power_weights(forward(fe, xs), ys, k)  # checks every class is present
+    # affine extractor, linear views: a class mean of view features = view features of the mean
+    means = np.stack([xs[ys == c].mean(axis=0) for c in range(k)])
+    return fe, expand_cluster_sites(feature_views(fe, means), range(k), k).with_weights(weight_sq)
 
 
 def prepare_run(stream_cfg: StreamConfig, seed: int, site_fraction: float = 1.0) -> PreparedRun:

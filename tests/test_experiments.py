@@ -1,11 +1,18 @@
-"""Source reuse in prepare_run: one cached source per distinct source config."""
+"""Source preparation: sites and weights against their definition, peak
+memory, and reuse in prepare_run (one cached source per distinct source
+config)."""
 
 import dataclasses
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from voronoi_tta import experiments
+from voronoi_tta.adaptation import DivergenceError, FeatureExtractor, forward
 from voronoi_tta.experiments import (
     _SOURCE_CACHE_SIZE,
     _STREAM_ONLY,
@@ -13,7 +20,14 @@ from voronoi_tta.experiments import (
     prepare_run,
 )
 from voronoi_tta.geometry import ClusterSiteSet
-from voronoi_tta.streams import StreamConfig
+from voronoi_tta.streams import (
+    StreamConfig,
+    expand_cluster_sites,
+    feature_views,
+    fit_power_weights,
+    gen_source,
+    subsample_per_class,
+)
 
 SMALL = StreamConfig(n_train_per_class=50, n_batches=2)
 
@@ -41,6 +55,75 @@ def changed(value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise AssertionError(f"no changed value defined for {value!r}; extend changed()")
     return value + 2 if isinstance(value, int) else value * 2
+
+
+def fit_or_zeros(features, y, n_classes):
+    """The power weights, or zeros where the fit stalls (large class means,
+    ROADMAP item 1), so that the sites are compared on every source."""
+    try:
+        return fit_power_weights(features, y, n_classes)
+    except DivergenceError:
+        return np.zeros(n_classes)
+
+
+def assert_source_matches_definition(cfg: StreamConfig, site_fraction: float):
+    """_prepare_source builds its sites from class-mean inputs; they must equal
+    the definition, the per-class means of each view's features over the
+    source, to 1e-12 of the largest site, and the weights must be bitwise equal."""
+    x, y = gen_source(cfg)
+    xs, ys = subsample_per_class(x, y, site_fraction, cfg.seed)
+    fe = FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, cfg.seed)
+    sites = expand_cluster_sites(feature_views(fe, xs), ys, cfg.n_classes).clusters
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "fit_power_weights", fit_or_zeros)
+        got_fe, got = _prepare_source.__wrapped__(cfg, site_fraction)
+    assert bitwise_equal(got_fe.frozen_map, fe.frozen_map)
+    assert got.clusters.shape == sites.shape
+    assert abs(got.clusters - sites).max() <= 1e-12 * max(1.0, abs(sites).max())
+    assert bitwise_equal(got.weight_sq, fit_or_zeros(forward(fe, xs), ys, cfg.n_classes))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_source_matches_the_site_definition(seed):
+    assert_source_matches_definition(replace(StreamConfig(seed=seed), **_STREAM_ONLY), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_classes=st.integers(2, 12),
+    feature_dim=st.integers(1, 8),
+    n_train_per_class=st.integers(1, 50),
+    class_mean_scale=st.floats(0, 10),
+    site_fraction=st.sampled_from([1.0, 0.1, 0.01]),
+    seed=st.integers(0, 2**16),
+)
+def test_source_matches_the_site_definition(
+    n_classes, feature_dim, n_train_per_class, class_mean_scale, site_fraction, seed
+):
+    cfg = StreamConfig(
+        n_classes=n_classes,
+        feature_dim=feature_dim,
+        n_train_per_class=n_train_per_class,
+        class_mean_scale=class_mean_scale,
+        seed=seed,
+    )
+    assert_source_matches_definition(replace(cfg, **_STREAM_ONLY), site_fraction)
+
+
+def test_source_preparation_peak_memory():
+    # Only the head fit sees the whole source's features; the views see K rows.
+    cfg = replace(StreamConfig(seed=0), **_STREAM_ONLY)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _prepare_source(cfg, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 16e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_hit_is_bitwise_equal_to_an_uncached_preparation():
