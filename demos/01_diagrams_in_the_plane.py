@@ -15,11 +15,12 @@ import numpy as np
 from voronoi_tta import (
     ClusterSiteSet,
     InfluenceConfig,
-    cipd_assign,
-    civd_assign,
+    assign,
+    cipd_influences,
+    civd_influences,
     compute_cells_2d,
-    pd_assign,
-    vd_assign,
+    pd_power,
+    vd_distances,
 )
 from voronoi_tta.svg import assignment_grid, polygons_svg, raster_svg
 
@@ -37,8 +38,8 @@ bbox = (-3.5, 3.5, -3.5, 3.5)
 
 probe = np.array([0.3, -0.2])
 print("probe point:", probe)
-print("  vd cell:", vd_assign(probe, psites))
-print("  pd cell:", pd_assign(probe, psites))
+print("  vd cell:", assign(-vd_distances(probe, psites)))
+print("  pd cell:", assign(-pd_power(probe, psites)))
 
 # Exact polygonal cells for the point diagrams.
 for name, w in (("vd", np.zeros(5)), ("pd", weights)):
@@ -55,11 +56,11 @@ cfg = InfluenceConfig(gamma=-0.8)
 clusters = ClusterSiteSet(
     sites[:, None, :] + rng.normal(0.0, 0.7, size=(5, 3, 2)), weights
 )
-print("  civd cell:", civd_assign(probe, clusters, cfg))
-print("  cipd cell:", cipd_assign(probe, clusters, cfg))
+print("  civd cell:", assign(civd_influences(probe, clusters, cfg)))
+print("  cipd cell:", assign(cipd_influences(probe, clusters, cfg)))
 
-for name, assign in (("civd", civd_assign), ("cipd", cipd_assign)):
-    grid, _, _ = assignment_grid(lambda p: assign(p, clusters, cfg), bbox, 220, 220)
+for name, scores in (("civd", civd_influences), ("cipd", cipd_influences)):
+    grid, _, _ = assignment_grid(lambda p: assign(scores(p, clusters, cfg)), bbox, 220, 220)
     (OUT / f"{name}_raster.svg").write_text(
         raster_svg(grid, bbox, points=clusters.clusters.reshape(-1, 2),
                    point_classes=np.repeat(range(5), 3))

@@ -16,7 +16,7 @@ from voronoi_tta import AdaptConfig, ExperimentSpec, StreamConfig, prepare_run
 from voronoi_tta.adaptation import forward
 from voronoi_tta.experiments import render_diagram
 from voronoi_tta.filtering import filter_batch
-from voronoi_tta.geometry import cipd_assign
+from voronoi_tta.geometry import assign, cipd_influences
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -30,10 +30,11 @@ clusters = prepared.clusters
 influence = AdaptConfig().influence
 report = filter_batch(features, clusters, influence)
 print(f"batch of {len(batch.inputs)}: kept {report.keep_mask.sum()} "
-      f"({100 * report.kept_fraction:.0f}%)")
+      f"({100 * report.keep_mask.mean():.0f}%)")
 # The two cells of each excluded sample: zero weights vs the fitted weights.
-unweighted = cipd_assign(features, clusters.with_weights(np.zeros(clusters.n_cells)), influence)
-weighted = cipd_assign(features, clusters, influence)
+zero_weighted = clusters.with_weights(np.zeros(clusters.n_cells))
+unweighted = assign(cipd_influences(features, zero_weighted, influence))
+weighted = assign(cipd_influences(features, clusters, influence))
 for i in np.flatnonzero(~report.keep_mask):
     print(f"  sample {i:2d}: unweighted cell {unweighted[i]} vs weighted cell {weighted[i]}"
           f"  (true class {batch.hidden_labels[i]})")

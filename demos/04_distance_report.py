@@ -14,7 +14,7 @@ import numpy as np
 from voronoi_tta import FeatureExtractor, StreamConfig
 from voronoi_tta.metrics import distance_report_csv_lines, sample_distance_report
 from voronoi_tta.streams import (
-    VIEW_ANGLES, expand_cluster_sites, feature_views, gen_source, gen_stream,
+    VIEW_ANGLES, expand_cluster_sites, gen_source, gen_stream,
 )
 
 cfg = StreamConfig(
@@ -24,7 +24,7 @@ cfg = StreamConfig(
 )
 x, y = gen_source(cfg)
 fe = FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, 6)
-clusters = expand_cluster_sites(feature_views(fe, x), y, cfg.n_classes)
+clusters = expand_cluster_sites(fe, x, y, cfg.n_classes)
 
 rescued = None
 for batch in gen_stream(cfg):

@@ -21,17 +21,14 @@ from .geometry import (
     InfluenceConfig,
     LogisticHead,
     aggregate_influence,
-    cipd_assign,
+    assign,
     cipd_influences,
-    civd_assign,
     civd_influences,
     compute_cells_2d,
     logistic_to_power,
-    pd_assign,
     pd_power,
     site_terms,
     squared_distances,
-    vd_assign,
     vd_distances,
 )
 from .experiments import (

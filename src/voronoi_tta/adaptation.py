@@ -156,7 +156,8 @@ def soft_label_from_scores(scores, tau: float, epsilon: float = 0.0) -> Array:
 
 
 def vd_loss(probs) -> float | Array:
-    """Shannon entropy of soft labels in nats; zero probabilities contribute 0."""
+    """Shannon entropy of soft labels in nats; zero probabilities contribute 0.
+    The online loss takes its entropy from scores; this one reads probabilities."""
     p = np.asarray(probs, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log(p), 0.0)
@@ -165,11 +166,10 @@ def vd_loss(probs) -> float | Array:
 
 
 def mode_scores(features, c: ClusterSiteSet, cfg: AdaptConfig) -> Array:
-    """(n, K) per-class scores for the configured diagram.
-
-    VD scores are negated distances to the identity-augmentation sites;
-    CIVD/CIPD scores are the cluster influences. Argmax of each row equals
-    the corresponding diagram assignment.
+    """(n, K) per-class scores for the configured diagram; ``geometry.assign``
+    of them is the diagram's assignment. VD scores are negated distances to
+    the identity-augmentation sites, CIVD/CIPD scores the cluster influences.
+    ``perfbench/tracing.py`` times this function by name.
     """
     z = np.atleast_2d(np.asarray(features, dtype=float))
     if cfg.mode == "vd":
@@ -277,7 +277,7 @@ def run_stream(fe: FeatureExtractor, stream, c: ClusterSiteSet, cfg: AdaptConfig
             if not np.all(np.isfinite(scores)):
                 raise DivergenceError(f"non-finite scores in {where}")
             probs = soft_label_from_scores(scores, cfg.tau)
-            preds = np.argmax(scores, axis=-1)
+            preds = geometry.assign(scores)
             conf = np.max(probs, axis=-1)
 
             if cfg.filtering:

@@ -20,15 +20,15 @@ from .adaptation import MODES, AdaptConfig, FeatureExtractor, RunTrace, forward,
 from .filtering import filter_batch
 from .geometry import (
     ClusterSiteSet,
-    cipd_assign,
-    civd_assign,
+    assign,
+    cipd_influences,
+    civd_influences,
     compute_cells_2d,
 )
 from .metrics import score_trace
 from .streams import (
     StreamConfig,
     expand_cluster_sites,
-    feature_views,
     fit_power_weights,
     gen_source,
     gen_stream,
@@ -120,9 +120,7 @@ def _prepare_source(
     fe = FeatureExtractor.seeded(source_cfg.raw_dim, source_cfg.feature_dim, source_cfg.seed)
     k = source_cfg.n_classes
     weight_sq = fit_power_weights(forward(fe, xs), ys, k)  # checks every class is present
-    # affine extractor, linear views: a class mean of view features = view features of the mean
-    means = np.stack([xs[ys == c].mean(axis=0) for c in range(k)])
-    return fe, expand_cluster_sites(feature_views(fe, means), range(k), k).with_weights(weight_sq)
+    return fe, expand_cluster_sites(fe, xs, ys, k).with_weights(weight_sq)
 
 
 def prepare_run(stream_cfg: StreamConfig, seed: int, site_fraction: float = 1.0) -> PreparedRun:
@@ -244,11 +242,8 @@ def render_diagram(spec: ExperimentSpec, which: str) -> tuple[str, dict]:
         return svg, extras
 
     n = spec.render_grid
-    if which == "civd":
-        assign = lambda pts: civd_assign(pts, clusters, influence)
-    else:  # cipd and subtraction share the weighted assignment raster
-        assign = lambda pts: cipd_assign(pts, clusters, influence)
-    grid, xs, ys = assignment_grid(assign, bbox, n, n)
+    scores = civd_influences if which == "civd" else cipd_influences  # subtraction: cipd's
+    grid, xs, ys = assignment_grid(lambda p: assign(scores(p, clusters, influence)), bbox, n, n)
     extras["grid"] = grid
     extras["grid_xy"] = (xs, ys)
     highlight = None

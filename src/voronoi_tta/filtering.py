@@ -13,17 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ClusterSiteSet, InfluenceConfig, cipd_influences
+from .geometry import ClusterSiteSet, InfluenceConfig, assign, cipd_influences
 
 Array = np.ndarray
 
 
 @dataclass(frozen=True)
 class FilterReport:
-    """Per-sample keep decisions."""
+    """Per-sample keep decisions; the kept fraction is ``keep_mask.mean()``.
+    ``perfbench/tracing.py`` reads ``keep_mask`` from this report."""
 
     keep_mask: Array  # (n,) bool
-    kept_fraction: float
 
 
 def filter_batch(features, c: ClusterSiteSet, cfg: InfluenceConfig) -> FilterReport:
@@ -37,8 +37,4 @@ def filter_batch(features, c: ClusterSiteSet, cfg: InfluenceConfig) -> FilterRep
     z = np.atleast_2d(np.asarray(features, dtype=float))
     weighted = cipd_influences(z, c, cfg)  # first: rejects a set without weights
     unweighted = cipd_influences(z, c.with_weights(np.zeros(c.n_cells)), cfg)
-    keep = np.argmax(unweighted, axis=-1) == np.argmax(weighted, axis=-1)
-    return FilterReport(
-        keep_mask=keep,
-        kept_fraction=float(np.mean(keep)) if len(keep) else 1.0,
-    )
+    return FilterReport(keep_mask=assign(unweighted) == assign(weighted))

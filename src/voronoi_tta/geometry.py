@@ -1,13 +1,14 @@
 """Voronoi, power, and cluster-induced diagram queries in feature space.
 
-Assignment rules implemented here:
+One assignment rule serves all four diagrams, ``assign(scores)``: the cell of
+the largest score, ties going to the lowest index. Their (n, K) score tables:
 
-* Voronoi diagram (VD): nearest site by Euclidean distance.
-* Power diagram (PD): smallest ``d(z, mu_k)^2 - v_k^2``.
-* Cluster-induced VD (CIVD): largest influence
+* Voronoi diagram (VD): ``-vd_distances``, minus the Euclidean distance.
+* Power diagram (PD): ``-pd_power``, minus ``d(z, mu_k)^2 - v_k^2``.
+* Cluster-induced VD (CIVD): ``civd_influences``, the influence
   ``F(z, C_k) = -sign(gamma) * sum_a d(mu_k^(a), z)^gamma``.
-* Cluster-induced PD (CIPD): same aggregation over power terms
-  ``d(mu_k^(a), z)^2 - v_k^2``.
+* Cluster-induced PD (CIPD): ``cipd_influences``, the same aggregation over
+  power terms ``d(mu_k^(a), z)^2 - v_k^2``.
 
 All four read one site type, ``ClusterSiteSet``: VD and PD are its
 ``A = 1`` identity slice (site 0 of each cell, with the weights for PD).
@@ -16,8 +17,8 @@ one squared-distance kernel (``squared_distances``), one term rule
 (``site_terms``) and one clamped aggregate (``aggregate_influence``).
 
 All queries accept a single point of shape ``(dim,)`` or a batch of shape
-``(n, dim)`` and are pure functions of their inputs. Ties are always broken
-toward the lowest cell index so that repeated calls are deterministic.
+``(n, dim)`` and are pure functions of their inputs. ``perfbench/tracing.py``
+times the score kernels by name, so they stay separate functions.
 """
 
 from __future__ import annotations
@@ -105,10 +106,6 @@ class LogisticHead:
             raise ValueError("weights must be (K, dim) with one bias per row")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
-
-    def logits(self, z) -> Array:
-        z = _check_points(z, self.weights.shape[1])
-        return z @ self.weights.T + self.bias
 
 
 @dataclass(frozen=True)
@@ -208,41 +205,20 @@ def cipd_influences(z, c: ClusterSiteSet, cfg: InfluenceConfig) -> Array:
     return f[0] if z.ndim == 1 else f
 
 
-# ---------------------------------------------------------------------------
-# Assignments: lowest index attaining the extreme value.
-# ---------------------------------------------------------------------------
-
-
-def vd_assign(z, c: ClusterSiteSet) -> int | Array:
-    d = vd_distances(z, c)
-    idx = np.argmin(d, axis=-1)
-    return int(idx) if d.ndim == 1 else idx
-
-
-def pd_assign(z, c: ClusterSiteSet) -> int | Array:
-    power = pd_power(z, c)
-    idx = np.argmin(power, axis=-1)
-    return int(idx) if power.ndim == 1 else idx
-
-
-def civd_assign(z, c: ClusterSiteSet, cfg: InfluenceConfig) -> int | Array:
-    f = civd_influences(z, c, cfg)
-    idx = np.argmax(f, axis=-1)
-    return int(idx) if f.ndim == 1 else idx
-
-
-def cipd_assign(z, c: ClusterSiteSet, cfg: InfluenceConfig) -> int | Array:
-    f = cipd_influences(z, c, cfg)
-    idx = np.argmax(f, axis=-1)
-    return int(idx) if f.ndim == 1 else idx
+def assign(scores) -> int | Array:
+    """The cell of each score row: the lowest index attaining its largest
+    score. A single row (K,) gives an ``int``, a batch (n, K) an (n,) array."""
+    scores = np.asarray(scores)
+    idx = np.argmax(scores, axis=-1)
+    return int(idx) if scores.ndim == 1 else idx
 
 
 def logistic_to_power(h: LogisticHead) -> ClusterSiteSet:
     """Convert a logistic head to the power diagram it induces.
 
     Sites (one per cell) are half the weight rows and the squared weights are
-    ``bias_k + ||W_k||^2 / 4``; the resulting pd_assign reproduces the
-    head's argmax everywhere.
+    ``bias_k + ||W_k||^2 / 4``; ``assign(-pd_power(z, .))`` then reproduces
+    the head's argmax everywhere.
     """
     weight_sq = h.bias + np.sum(h.weights**2, axis=1) / 4.0
     return ClusterSiteSet((h.weights / 2.0)[:, None], weight_sq)

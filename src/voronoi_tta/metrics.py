@@ -16,6 +16,7 @@ from .geometry import (
     ClusterSiteSet,
     InfluenceConfig,
     aggregate_influence,
+    assign,
     site_terms,
     squared_distances,
 )
@@ -132,8 +133,8 @@ def sample_distance_report(
     matched = np.arange(len(VIEW_ANGLES))
     distances = site_terms(squared_distances(views, c.clusters)[matched, :, matched])  # (A, K)
     influences = aggregate_influence(distances.T, cfg)
-    per_rotation_pred = np.argmin(distances, axis=1)
-    aggregate_pred = int(np.argmax(influences))
+    per_rotation_pred = assign(-distances)
+    aggregate_pred = assign(influences)
     return DistanceReport(
         distances=distances,
         influences=influences,

@@ -221,14 +221,15 @@ def feature_views(fe: FeatureExtractor, x):
         yield forward(fe, _rotate_pairs(x, angle))
 
 
-def expand_cluster_sites(views, y, n_classes: int) -> ClusterSiteSet:
-    """Cluster k holds one site per view: the per-class mean of each view's
-    features, such as ``feature_views(fe, x)``, in VIEW_ANGLES order."""
+def expand_cluster_sites(fe: FeatureExtractor, x, y, n_classes: int) -> ClusterSiteSet:
+    """Cluster k holds one site per view, in VIEW_ANGLES order: that view's features
+    averaged over the inputs x of class k. Computed as the view features of the K
+    class-mean inputs, exact up to rounding: the extractor is affine, the views linear."""
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
     _check_classes(y, n_classes)
-    # map holds no view while the next is computed, unlike a loop variable
-    per_view = map(lambda v: np.stack([v[y == k].mean(axis=0) for k in range(n_classes)]), views)
-    return ClusterSiteSet(np.stack(list(per_view), axis=1))  # (K, A, feature_dim)
+    means = np.stack([x[y == k].mean(axis=0) for k in range(n_classes)])
+    return ClusterSiteSet(np.stack(list(feature_views(fe, means)), axis=1))  # (K, A, feature_dim)
 
 
 # The power weights are defined as the minimiser of mean softmax cross-entropy
@@ -275,10 +276,13 @@ def _lbfgs_direction(grad, pairs):
 
 
 def fit_logistic_head(features, labels, n_classes: int) -> LogisticHead:
-    """The minimiser defined above, by L-BFGS from zero with Armijo backtracking
+    """The minimiser defined above, by L-BFGS from zero with backtracking
     (one step per objective evaluation, at most HEAD_MAX_STEPS), in c = b + W mu:
     the same minimiser, far better conditioned when the features share a large
-    mean. A zero start keeps symmetric sources symmetric; inputs are not written."""
+    mean. A zero start keeps symmetric sources symmetric; inputs are not written.
+    A trial passes Armijo (c1 = 1e-4) or, where Armijo's decrease is below the loss's
+    rounding, the approximate Wolfe test of Hager & Zhang (SIAM J. Optim., 2005):
+    loss <= loss_0 + 1e-12 |loss_0| and grad.d <= -0.8 grad_0.d; else t halves."""
     f = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)
     _check_classes(y, n_classes)
@@ -295,7 +299,9 @@ def fit_logistic_head(features, labels, n_classes: int) -> LogisticHead:
             trial_loss, trial_grad, trial_gmax = _head_objective(trial, f, onehot, mu)
             if not np.isfinite(trial_loss):
                 raise DivergenceError(f"logistic head fitting diverged at step {step}")
-            if trial_loss > loss + 1e-4 * t * np.vdot(grad, direction):
+            slope, trial_slope = np.vdot(grad, direction), np.vdot(trial_grad, direction)
+            approx_wolfe = trial_loss <= loss + 1e-12 * abs(loss) and trial_slope <= -0.8 * slope
+            if trial_loss > loss + 1e-4 * t * slope and not approx_wolfe:
                 t /= 2
                 continue
             s, d = trial - theta, trial_grad - grad

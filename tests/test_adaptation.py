@@ -24,9 +24,10 @@ from voronoi_tta.adaptation import (
 from voronoi_tta.geometry import (
     ClusterSiteSet,
     InfluenceConfig,
-    cipd_assign,
-    civd_assign,
-    vd_assign,
+    assign,
+    cipd_influences,
+    civd_influences,
+    vd_distances,
 )
 from voronoi_tta.metrics import score_trace
 from voronoi_tta.streams import Batch
@@ -360,11 +361,11 @@ def test_predictions_match_diagram_assignments(mode):
     for record, batch in zip(trace.records, stream):
         z = forward(fe_t, batch.inputs)
         if mode == "vd":
-            want = vd_assign(z, clusters)
+            want = assign(-vd_distances(z, clusters))
         elif mode == "civd":
-            want = civd_assign(z, clusters, cfg.influence)
+            want = assign(civd_influences(z, clusters, cfg.influence))
         else:
-            want = cipd_assign(z, clusters, cfg.influence)
+            want = assign(cipd_influences(z, clusters, cfg.influence))
         assert np.array_equal(record.predictions, want)
         # replay the update to track parameters
         from voronoi_tta.filtering import filter_batch

@@ -253,6 +253,16 @@ def test_diverging_head_fit_exits_2_without_warnings(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_large_class_mean_source_fits_and_exits_0(tmp_path):
+    # the head fit's line search used to stall at the loss's rounding floor here
+    _prepare_source.cache_clear()
+    code = run_cli("run", "--seeds", "2", "--class-mean-scale", "10", "--classes", "10",
+                   "--feature-dim", "4", "--n-train-per-class", "50", "--n-batches", "2",
+                   "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
 @pytest.mark.parametrize("where", ["batch 1"], ids=["one-step"])
 def test_diverging_online_loop_exits_2_without_warnings(tmp_path, capsys, where):
     with warnings.catch_warnings(record=True) as caught:

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voronoi_tta import experiments
-from voronoi_tta.adaptation import DivergenceError, FeatureExtractor, forward
+from voronoi_tta.adaptation import FeatureExtractor, forward
 from voronoi_tta.experiments import (
     _SOURCE_CACHE_SIZE,
     _STREAM_ONLY,
@@ -22,7 +21,6 @@ from voronoi_tta.experiments import (
 from voronoi_tta.geometry import ClusterSiteSet
 from voronoi_tta.streams import (
     StreamConfig,
-    expand_cluster_sites,
     feature_views,
     fit_power_weights,
     gen_source,
@@ -57,30 +55,22 @@ def changed(value):
     return value + 2 if isinstance(value, int) else value * 2
 
 
-def fit_or_zeros(features, y, n_classes):
-    """The power weights, or zeros where the fit stalls (large class means,
-    ROADMAP item 1), so that the sites are compared on every source."""
-    try:
-        return fit_power_weights(features, y, n_classes)
-    except DivergenceError:
-        return np.zeros(n_classes)
-
-
 def assert_source_matches_definition(cfg: StreamConfig, site_fraction: float):
     """_prepare_source builds its sites from class-mean inputs; they must equal
-    the definition, the per-class means of each view's features over the
-    source, to 1e-12 of the largest site, and the weights must be bitwise equal."""
+    the definition, computed here as the per-class means of each view's
+    features over the source, to 1e-12 of the largest site, and the weights
+    must be bitwise equal to the fit on the source features."""
     x, y = gen_source(cfg)
     xs, ys = subsample_per_class(x, y, site_fraction, cfg.seed)
     fe = FeatureExtractor.seeded(cfg.raw_dim, cfg.feature_dim, cfg.seed)
-    sites = expand_cluster_sites(feature_views(fe, xs), ys, cfg.n_classes).clusters
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "fit_power_weights", fit_or_zeros)
-        got_fe, got = _prepare_source.__wrapped__(cfg, site_fraction)
+    classes = range(cfg.n_classes)
+    views = [np.stack([v[ys == k].mean(axis=0) for k in classes]) for v in feature_views(fe, xs)]
+    sites = np.stack(views, axis=1)  # (K, A, feature_dim)
+    got_fe, got = _prepare_source.__wrapped__(cfg, site_fraction)
     assert bitwise_equal(got_fe.frozen_map, fe.frozen_map)
     assert got.clusters.shape == sites.shape
     assert abs(got.clusters - sites).max() <= 1e-12 * max(1.0, abs(sites).max())
-    assert bitwise_equal(got.weight_sq, fit_or_zeros(forward(fe, xs), ys, cfg.n_classes))
+    assert bitwise_equal(got.weight_sq, fit_power_weights(forward(fe, xs), ys, cfg.n_classes))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

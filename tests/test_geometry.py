@@ -14,15 +14,12 @@ from voronoi_tta.geometry import (
     ClusterSiteSet,
     InfluenceConfig,
     LogisticHead,
-    cipd_assign,
+    assign,
     cipd_influences,
-    civd_assign,
     civd_influences,
     compute_cells_2d,
     logistic_to_power,
-    pd_assign,
     pd_power,
-    vd_assign,
     vd_distances,
 )
 
@@ -82,10 +79,17 @@ def test_vd_distances_random_oracle():
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def test_assign_is_the_lowest_index_argmax():
+    got = assign(np.array([1.0, 3.0, 3.0]))
+    assert got == 1 and isinstance(got, int)
+    rows = assign(np.array([[0.0, 0.0], [-1.0, 2.0], [-np.inf, -5.0]]))
+    assert rows.tolist() == [0, 1, 1]
+
+
 def test_vd_assign_tie_breaks_low_index():
     s = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None])
-    assert vd_assign(np.array([0.5, 0.0]), s) == 0
-    assert vd_assign(np.array([1.0, 0.0]), s) == 0  # exact tie
+    assert assign(-vd_distances(np.array([0.5, 0.0]), s)) == 0
+    assert assign(-vd_distances(np.array([1.0, 0.0]), s)) == 0  # exact tie
 
 
 def test_vd_assign_brute_force():
@@ -93,7 +97,7 @@ def test_vd_assign_brute_force():
     sites = rng.normal(size=(8, 4))
     s = ClusterSiteSet(sites[:, None])
     z = rng.normal(size=(1000, 4))
-    got = vd_assign(z, s)
+    got = assign(-vd_distances(z, s))
     want = [argmin_first([dist_oracle(p, site) for site in sites]) for p in z]
     assert np.array_equal(got, want)
 
@@ -108,14 +112,14 @@ def test_vd_dimension_mismatch():
 
 def test_pd_reduces_to_vd_with_zero_weights():
     p = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.zeros(2))
-    assert pd_assign(np.array([0.5, 0.0]), p) == 0
+    assert assign(-pd_power(np.array([0.5, 0.0]), p)) == 0
 
 
 def test_pd_hand_power_values():
     # v = (0, sqrt 2)
     p = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.array([0.0, 2.0]))
     np.testing.assert_allclose(pd_power(np.array([1.0, 0.0]), p), [1.0, -1.0])
-    assert pd_assign(np.array([1.0, 0.0]), p) == 1
+    assert assign(-pd_power(np.array([1.0, 0.0]), p)) == 1
 
 
 def test_pd_assign_brute_force():
@@ -124,7 +128,7 @@ def test_pd_assign_brute_force():
     w = rng.normal(size=6)
     p = ClusterSiteSet(sites[:, None], w)
     z = rng.normal(size=(500, 3))
-    got = pd_assign(z, p)
+    got = assign(-pd_power(z, p))
     want = [
         argmin_first([sqdist_oracle(q, site) - wk for site, wk in zip(sites, w)])
         for q in z
@@ -139,7 +143,7 @@ def test_pd_equal_weights_equals_vd_for_any_offset():
     z = rng.normal(size=(300, 4))
     for w in (-2.0, 0.0, 3.7):
         p = ClusterSiteSet(sites[:, None], np.full(5, w))
-        assert np.array_equal(pd_assign(z, p), vd_assign(z, s))
+        assert np.array_equal(assign(-pd_power(z, p)), assign(-vd_distances(z, s)))
 
 
 # --- civd ---
@@ -169,7 +173,7 @@ def test_civd_influence_random_oracle():
 
 def test_civd_singleton_reduces_to_vd():
     c = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None])
-    assert civd_assign(np.array([0.5, 0.0]), c, CFG) == 0
+    assert assign(civd_influences(np.array([0.5, 0.0]), c, CFG)) == 0
 
 
 def test_civd_dense_cluster_pulls_assignment():
@@ -181,7 +185,7 @@ def test_civd_dense_cluster_pulls_assignment():
     f_dense = influence_oracle(z, dense, CFG.gamma, CFG.distance_floor)
     f_sparse = influence_oracle(z, sparse, CFG.gamma, CFG.distance_floor)
     assert f_dense > f_sparse  # oracle agrees the dense pair wins
-    assert civd_assign(z, c, CFG) == 0
+    assert assign(civd_influences(z, c, CFG)) == 0
 
 
 def test_civd_assign_brute_force_grid():
@@ -190,7 +194,7 @@ def test_civd_assign_brute_force_grid():
     c = ClusterSiteSet(clusters)
     xs = np.linspace(-2, 2, 12)
     pts = np.array([[x, y] for x in xs for y in xs])
-    got = civd_assign(pts, c, CFG)
+    got = assign(civd_influences(pts, c, CFG))
     want = []
     for p in pts:
         vals = [influence_oracle(p, cl, CFG.gamma, CFG.distance_floor) for cl in clusters]
@@ -233,14 +237,15 @@ def test_cipd_zero_weights_singleton_matches_vd():
     sites = rng.normal(size=(5, 3))
     c = ClusterSiteSet(sites[:, None], np.zeros(5))
     z = rng.normal(size=(200, 3))
-    assert np.array_equal(cipd_assign(z, c, CFG), vd_assign(z, ClusterSiteSet(sites[:, None])))
+    want = assign(-vd_distances(z, ClusterSiteSet(sites[:, None])))
+    assert np.array_equal(assign(cipd_influences(z, c, CFG)), want)
 
 
 def test_cipd_dominant_weight_wins_everywhere():
     clusters = np.random.default_rng(8).normal(size=(2, 3, 2))
     c = ClusterSiteSet(clusters, np.array([0.0, 1e6]))
     z = np.random.default_rng(9).normal(size=(100, 2))
-    assert np.all(cipd_assign(z, c, CFG) == 1)
+    assert np.all(assign(cipd_influences(z, c, CFG)) == 1)
 
 
 def test_cipd_assign_brute_force():
@@ -249,7 +254,7 @@ def test_cipd_assign_brute_force():
     w = rng.normal(size=4) * 0.3
     c = ClusterSiteSet(clusters, w)
     z = rng.normal(size=(300, 2)) * 2.0
-    got = cipd_assign(z, c, CFG)
+    got = assign(cipd_influences(z, c, CFG))
     want = []
     for p in z:
         vals = [
@@ -263,11 +268,10 @@ def test_cipd_assign_brute_force():
 def test_cipd_requires_weights():
     c = ClusterSiteSet(np.zeros((2, 1, 2)))
     with pytest.raises(ValueError):
-        cipd_assign(np.array([0.0, 0.0]), c, CFG)
+        cipd_influences(np.array([0.0, 0.0]), c, CFG)
     # so do the power diagram of the identity sites and its 2-D cells
-    for weighted_op in (pd_power, pd_assign):
-        with pytest.raises(ValueError, match="no weights"):
-            weighted_op(np.array([0.0, 0.0]), c)
+    with pytest.raises(ValueError, match="no weights"):
+        pd_power(np.array([0.0, 0.0]), c)
     with pytest.raises(ValueError, match="no weights"):
         compute_cells_2d(c, (-1, 1, -1, 1))
 
@@ -291,8 +295,8 @@ def test_logistic_to_power_matches_logit_argmax():
         h = LogisticHead(rng.normal(size=(6, 4)), rng.normal(size=6))
         p = logistic_to_power(h)
         z = rng.normal(size=(2000, 4)) * 2.0
-        logits = h.logits(z)
-        assert np.array_equal(pd_assign(z, p), np.argmax(logits, axis=1))
+        logits = z @ h.weights.T + h.bias
+        assert np.array_equal(assign(-pd_power(z, p)), np.argmax(logits, axis=1))
 
 
 # --- diagram subtraction (the filter's disagreement rule) ---
@@ -357,7 +361,7 @@ def test_cells_membership_and_tiling():
     pts = np.column_stack(
         [rng.uniform(bbox[0], bbox[1], 3000), rng.uniform(bbox[2], bbox[3], 3000)]
     )
-    assigned = pd_assign(pts, p)
+    assigned = assign(-pd_power(pts, p))
     for pt, k in zip(pts, assigned):
         cell = cells[k]
         assert len(cell.vertices) >= 3
@@ -374,7 +378,7 @@ def test_cells_interior_points_get_their_cell():
         # random convex combinations of the vertices are interior points
         w = rng.dirichlet(np.ones(len(cell.vertices)), size=50)
         pts = w @ cell.vertices
-        assert np.all(pd_assign(pts, p) == cell.cell_index)
+        assert np.all(assign(-pd_power(pts, p)) == cell.cell_index)
 
 
 def test_cells_require_two_dimensions():
@@ -391,8 +395,8 @@ def test_assignments_are_deterministic():
     c = ClusterSiteSet(rng.normal(size=(3, 4, 3)), rng.normal(size=3) * 0.2)
     z = rng.normal(size=(50, 3))
     for fn in (
-        lambda q: civd_assign(q, c, CFG),
-        lambda q: cipd_assign(q, c, CFG),
+        lambda q: assign(civd_influences(q, c, CFG)),
+        lambda q: assign(cipd_influences(q, c, CFG)),
     ):
         assert np.array_equal(fn(z), fn(z))
 
@@ -401,9 +405,10 @@ def test_vd_assign_scale_covariance():
     rng = np.random.default_rng(15)
     sites = rng.normal(size=(5, 3))
     z = rng.normal(size=(200, 3))
-    base = vd_assign(z, ClusterSiteSet(sites[:, None]))
+    base = assign(-vd_distances(z, ClusterSiteSet(sites[:, None])))
     for c in (0.1, 7.3):
-        assert np.array_equal(vd_assign(c * z, ClusterSiteSet(c * sites[:, None])), base)
+        scaled = ClusterSiteSet(c * sites[:, None])
+        assert np.array_equal(assign(-vd_distances(c * z, scaled)), base)
 
 
 def test_influences_batch_matches_single():
@@ -522,12 +527,12 @@ def test_ties_go_to_the_lowest_index(problem):
     clusters, z, w, cfg = problem
     c = ClusterSiteSet(clusters, w)
     doubled = ClusterSiteSet(np.concatenate([clusters, clusters]), np.concatenate([w, w]))
-    assert np.array_equal(civd_assign(z, doubled, cfg), civd_assign(z, c, cfg))
-    assert np.array_equal(cipd_assign(z, doubled, cfg), cipd_assign(z, c, cfg))
-    assert np.array_equal(vd_assign(z, doubled), vd_assign(z, c))
-    assert np.array_equal(pd_assign(z, doubled), pd_assign(z, c))
+    for scores in (civd_influences, cipd_influences):
+        assert np.array_equal(assign(scores(z, doubled, cfg)), assign(scores(z, c, cfg)))
+    assert np.array_equal(assign(-vd_distances(z, doubled)), assign(-vd_distances(z, c)))
+    assert np.array_equal(assign(-pd_power(z, doubled)), assign(-pd_power(z, c)))
     # exact squared distances: the VD/PD argmin is the oracle's first minimum
-    for p, got in zip(z, vd_assign(z, c)):
+    for p, got in zip(z, assign(-vd_distances(z, c))):
         assert got == argmin_first([sqdist_oracle(p, site) for site in clusters[:, 0]])
-    for p, got in zip(z, pd_assign(z, c)):
+    for p, got in zip(z, assign(-pd_power(z, c))):
         assert got == argmin_first([sqdist_oracle(p, s) - wk for s, wk in zip(clusters[:, 0], w)])

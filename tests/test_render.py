@@ -10,9 +10,10 @@ from voronoi_tta.experiments import ExperimentSpec, render_diagram
 from voronoi_tta.geometry import (
     ClusterSiteSet,
     InfluenceConfig,
-    cipd_assign,
-    civd_assign,
-    pd_assign,
+    assign,
+    cipd_influences,
+    civd_influences,
+    pd_power,
 )
 from voronoi_tta.streams import StreamConfig
 from voronoi_tta.svg import assignment_grid, polygons_svg, raster_svg
@@ -70,7 +71,7 @@ def test_raster_svg_rle_merges_rows():
 
 def test_assignment_grid_pixel_centers():
     sites = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.zeros(2))
-    grid, xs, ys = assignment_grid(lambda pts: pd_assign(pts, sites), (-1, 3, -1, 1), 8, 4)
+    grid, xs, ys = assignment_grid(lambda pts: assign(-pd_power(pts, sites)), (-1, 3, -1, 1), 8, 4)
     assert grid.shape == (4, 8)
     # everything left of x = 1 belongs to cell 0
     for j, x in enumerate(xs):
@@ -100,7 +101,10 @@ def test_subtraction_with_zero_weights_has_no_highlight():
     rng = np.random.default_rng(5)
     clusters = ClusterSiteSet(rng.normal(size=(4, 3, 2)), np.zeros(4))
     grid, xs, ys = assignment_grid(
-        lambda pts: cipd_assign(pts, clusters, InfluenceConfig()), (-3, 3, -3, 3), 32, 32
+        lambda pts: assign(cipd_influences(pts, clusters, InfluenceConfig())),
+        (-3, 3, -3, 3),
+        32,
+        32,
     )
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
@@ -114,7 +118,7 @@ def test_subtraction_with_zero_weights_has_no_highlight():
 def test_raster_grids_agree_with_assignments():
     spec = small_spec()
     icfg = InfluenceConfig()
-    for which, assign in (("civd", civd_assign), ("cipd", cipd_assign)):
+    for which, scores in (("civd", civd_influences), ("cipd", cipd_influences)):
         svg, extras = render_diagram(spec, which)
         grid = extras["grid"]
         xs, ys = extras["grid_xy"]
@@ -123,7 +127,7 @@ def test_raster_grids_agree_with_assignments():
         ii = rng.integers(0, len(ys), size=500)
         jj = rng.integers(0, len(xs), size=500)
         pts = np.column_stack([xs[jj], ys[ii]])
-        want = assign(pts, clusters, icfg)
+        want = assign(scores(pts, clusters, icfg))
         assert np.array_equal(grid[ii, jj], want)
 
 
@@ -137,7 +141,7 @@ def test_polygon_cells_agree_with_pd_assign():
     pts = np.column_stack(
         [rng.uniform(xmin, xmax, 1000), rng.uniform(ymin, ymax, 1000)]
     )
-    labels = pd_assign(pts, psites)
+    labels = assign(-pd_power(pts, psites))
 
     def point_in_convex(poly, p, tol):
         n = len(poly)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from voronoi_tta import streams
 from voronoi_tta.adaptation import DivergenceError, FeatureExtractor, forward
-from voronoi_tta.geometry import ClusterSiteSet, logistic_to_power, pd_assign
+from voronoi_tta.geometry import ClusterSiteSet, assign, logistic_to_power, pd_power, vd_distances
 from voronoi_tta.streams import (
     HEAD_GTOL,
     HEAD_L2,
@@ -104,7 +107,7 @@ def make_extractor(cfg, seed=0):
 
 def identity_sites(x, y, fe, n_classes):
     """Per-class mean features: the identity-view sites, one per cell."""
-    clusters = expand_cluster_sites(feature_views(fe, x), y, n_classes)
+    clusters = expand_cluster_sites(fe, x, y, n_classes)
     return ClusterSiteSet(clusters.clusters[:, :1])
 
 
@@ -137,23 +140,35 @@ def test_rotation_invariant_inputs_collapse_clusters():
     fe = FeatureExtractor(np.eye(4), np.ones(4), np.zeros(4))
     x = np.zeros((6, 4))
     y = np.array([0, 0, 0, 1, 1, 1])
-    clusters = expand_cluster_sites(feature_views(fe, x), y, 2)
+    clusters = expand_cluster_sites(fe, x, y, 2)
     for k in range(2):
         for alpha in range(4):
             np.testing.assert_allclose(clusters.clusters[k, alpha], clusters.clusters[k, 0])
 
 
-def test_cluster_sites_match_groupby_oracle():
+AFFINE = hnp.arrays(float, SMALL.feature_dim, elements=st.floats(-50, 50))
+
+
+@settings(max_examples=20, deadline=None)
+@example(
+    scale=np.linspace(-3.0, 4.0, SMALL.feature_dim),
+    shift=np.linspace(40.0, -25.0, SMALL.feature_dim),
+)
+@given(scale=AFFINE, shift=AFFINE)
+def test_cluster_sites_match_groupby_oracle(scale, shift):
+    # a non-identity affine part: the sites are built from class-mean inputs,
+    # which is exact only if scale and shift are applied to them as well
+    assume(np.any(scale != 1) and np.any(shift != 0))
     x, y = gen_source(SMALL)
-    fe = make_extractor(SMALL)
-    clusters = expand_cluster_sites(feature_views(fe, x), y, SMALL.n_classes)
+    fe = FeatureExtractor(make_extractor(SMALL).frozen_map, scale, shift)
+    clusters = expand_cluster_sites(fe, x, y, SMALL.n_classes)
     for alpha, rotated in enumerate(raw_views(x)):
         feats = forward(fe, rotated)
         for k in range(SMALL.n_classes):
             rows = [f for f, label in zip(feats, y) if label == k]
-            np.testing.assert_allclose(
-                clusters.clusters[k, alpha], np.mean(rows, axis=0), rtol=1e-10
-            )
+            want = np.mean(rows, axis=0)
+            got = clusters.clusters[k, alpha]
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # --- power weights ---
@@ -177,9 +192,8 @@ def test_converted_head_reproduces_logit_argmax():
     converted = logistic_to_power(head)
     rng = np.random.default_rng(7)
     probes = rng.normal(size=(5000, SMALL.feature_dim))
-    assert np.array_equal(
-        pd_assign(probes, converted), np.argmax(head.logits(probes), axis=1)
-    )
+    logits = probes @ head.weights.T + head.bias
+    assert np.array_equal(assign(-pd_power(probes, converted)), np.argmax(logits, axis=1))
 
 
 def test_power_weights_are_centered():
@@ -247,6 +261,37 @@ def test_logistic_head_bias_sums_to_zero(cfg):
     # picks the representative with sum(b) = 0
     f, y = head_source(cfg)
     assert abs(fit_logistic_head(f, y, cfg.n_classes).bias.sum()) < 1e-12
+
+
+# Sources with large class means (class_mean_scale 10) on which Armijo
+# backtracking alone stalled: near the minimiser its required decrease is below
+# the rounding of the loss, so every trial failed until HEAD_MAX_STEPS.
+# (n_classes, feature_dim, n_train_per_class, class_cov_scale, seed)
+ROUNDING_FLOOR_SOURCES = [
+    (40, 1, 1, 0.06, 2),
+    (40, 4, 1, 1.0, 1),
+    (40, 4, 50, 0.06, 2),
+    (40, 32, 50, 0.0, 0),
+    (10, 1, 1, 0.0, 2),
+    (10, 1, 1, 0.06, 2),
+    (10, 1, 1, 1.0, 0),
+    (10, 1, 1, 1.0, 2),
+    (10, 4, 50, 0.06, 2),  # `run --seeds 2 --class-mean-scale 10 --classes 10 --feature-dim 4 ...`
+    (10, 4, 500, 0.06, 1),
+]
+
+
+@pytest.mark.parametrize("k, dim, n, cov, seed", ROUNDING_FLOOR_SOURCES)
+def test_logistic_head_converges_at_the_rounding_floor(k, dim, n, cov, seed):
+    cfg = StreamConfig(
+        n_classes=k, feature_dim=dim, n_train_per_class=n, class_mean_scale=10.0,
+        class_cov_scale=cov, seed=seed,
+    )
+    x, y = gen_source(cfg)
+    f = forward(make_extractor(cfg, seed), x)
+    head = fit_logistic_head(f, y, k)
+    theta = np.column_stack([head.weights, head.bias]).ravel()
+    assert np.abs(head_objective(theta, f, y, k)[1]).max() <= HEAD_GTOL
 
 
 def test_logistic_head_iteration_cap_names_the_step(monkeypatch):
@@ -324,12 +369,10 @@ def test_no_corruption_stream_matches_source_distribution():
     x, y = gen_source(cfg)
     fe = make_extractor(cfg)
     sites = identity_sites(x, y, fe, cfg.n_classes)
-    from voronoi_tta.geometry import vd_assign
-
-    train_err = np.mean(vd_assign(forward(fe, x), sites) != y)
+    train_err = np.mean(assign(-vd_distances(forward(fe, x), sites)) != y)
     errs = []
     for batch in gen_stream(cfg):
-        preds = vd_assign(forward(fe, batch.inputs), sites)
+        preds = assign(-vd_distances(forward(fe, batch.inputs), sites))
         errs.append(np.mean(preds != batch.hidden_labels))
     assert abs(np.mean(errs) - train_err) < 0.05
 
