@@ -11,8 +11,6 @@ Run from the repository root:  python demos/02_online_adaptation.py
 
 from dataclasses import replace
 
-import numpy as np
-
 from voronoi_tta import AdaptConfig, StreamConfig, prepare_run, run_single
 from voronoi_tta.metrics import adaptation_curve
 

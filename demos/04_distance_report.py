@@ -9,8 +9,6 @@ recovers the truth; that is the rescue pattern the cluster diagrams rely on.
 Run from the repository root:  python demos/04_distance_report.py
 """
 
-import numpy as np
-
 from voronoi_tta import FeatureExtractor, StreamConfig
 from voronoi_tta.metrics import distance_report_csv_lines, sample_distance_report
 from voronoi_tta.streams import (

@@ -13,7 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ClusterSiteSet, InfluenceConfig, assign, cipd_influences
+# ``cipd_influences`` is not called here; ``perfbench/tracing.py`` patches
+# this module's binding of it by name, so the import stays.
+from .geometry import (
+    ClusterSiteSet,
+    InfluenceConfig,
+    _check_points,
+    _weights,
+    aggregate_influence,
+    assign,
+    cipd_influences,
+    site_terms,
+    squared_distances,
+)
 
 Array = np.ndarray
 
@@ -33,8 +45,15 @@ def filter_batch(features, c: ClusterSiteSet, cfg: InfluenceConfig) -> FilterRep
     unweighted side sets every v_k^2 to zero. With all-zero weights the two
     diagrams coincide and every sample is kept. For singleton clusters the
     excluded samples are exactly those whose VD and PD cells differ.
+
+    One squared-distance table serves both sides: the weighted side's power
+    terms are ``dsq - v_k^2``, and a zero-weight power term ``dsq - 0.0`` is
+    ``dsq`` itself, so the unweighted side aggregates the table directly.
+    The scores are bitwise those of ``cipd_influences`` on each side.
     """
-    z = np.atleast_2d(np.asarray(features, dtype=float))
-    weighted = cipd_influences(z, c, cfg)  # first: rejects a set without weights
-    unweighted = cipd_influences(z, c.with_weights(np.zeros(c.n_cells)), cfg)
+    w = _weights(c)  # first: rejects a set without weights
+    z = _check_points(np.atleast_2d(features), c.dim)
+    dsq = squared_distances(z, c.clusters)
+    weighted = aggregate_influence(site_terms(dsq, w), cfg)
+    unweighted = aggregate_influence(dsq, cfg)
     return FilterReport(keep_mask=assign(unweighted) == assign(weighted))

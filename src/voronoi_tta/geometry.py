@@ -164,9 +164,18 @@ def site_terms(dsq: Array, weight_sq=None) -> Array:
 
 def aggregate_influence(terms: Array, cfg: InfluenceConfig) -> Array:
     """Aggregate per-site terms over the last axis:
-    ``-sign(gamma) * sum_a max(term, distance_floor)^gamma``."""
-    clamped = np.maximum(terms, cfg.distance_floor)
-    return -np.sign(cfg.gamma) * np.sum(clamped**cfg.gamma, axis=-1)
+    ``-sign(gamma) * sum_a max(term, distance_floor)^gamma``.
+
+    The site axis is summed left to right, ``((t_0 + t_1) + t_2) + ...``.
+    That is numpy's own order for a last axis shorter than 8, so for A <= 7
+    the result equals ``np.sum(..., axis=-1)`` bitwise; for longer axes it
+    can differ from numpy's pairwise sum in the last bits. On short axes the
+    explicit adds are faster than the reduction."""
+    powered = np.maximum(terms, cfg.distance_floor) ** cfg.gamma
+    total = powered[..., 0]
+    for a in range(1, powered.shape[-1]):
+        total = total + powered[..., a]
+    return -np.sign(cfg.gamma) * total
 
 
 def _weights(c: ClusterSiteSet) -> Array:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voronoi_tta import StreamConfig, prepare_run
+from voronoi_tta import StreamConfig, geometry, metrics, prepare_run
+from voronoi_tta import filtering as filtering_module
 from voronoi_tta.adaptation import (
+    MODES,
     AdaptConfig,
     DivergenceError,
     FeatureExtractor,
@@ -377,6 +379,36 @@ def test_predictions_match_diagram_assignments(mode):
         )
         loss, gs, gb = batch_loss_and_grad(fe_t, batch.inputs, clusters, cfg, keep)
         fe_t = adapt_step(fe_t, gs, gb, cfg.learning_rate)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("filtering", [False, True])
+def test_distance_tables_per_batch(monkeypatch, mode, filtering):
+    # one (n, K, A) table for the scores and one for the gradient; the
+    # filter's two sides share a third
+    builds = []
+    real = geometry.squared_distances
+
+    def counted(z, clusters):
+        builds.append(z.shape)
+        return real(z, clusters)
+
+    for module in (geometry, filtering_module, metrics):  # every binding in the package
+        monkeypatch.setattr(module, "squared_distances", counted)
+    rng, fe, clusters = random_setup(12)
+    marks = []
+
+    def stream():
+        for batch in make_stream(rng, clusters, fe, n_batches=5):
+            marks.append(len(builds))
+            yield batch
+
+    cfg = AdaptConfig(mode=mode, filtering=filtering)
+    trace = run_stream(fe, stream(), clusters, cfg)
+    marks.append(len(builds))
+    # an empty keep mask would skip the gradient's table
+    assert all(r.keep_mask.any() for r in trace.records)
+    assert np.diff(marks).tolist() == [3 if filtering else 2] * 5
 
 
 def test_online_causality():

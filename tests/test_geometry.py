@@ -14,6 +14,7 @@ from voronoi_tta.geometry import (
     ClusterSiteSet,
     InfluenceConfig,
     LogisticHead,
+    aggregate_influence,
     assign,
     cipd_influences,
     civd_influences,
@@ -536,3 +537,28 @@ def test_ties_go_to_the_lowest_index(problem):
         assert got == argmin_first([sqdist_oracle(p, site) for site in clusters[:, 0]])
     for p, got in zip(z, assign(-pd_power(z, c))):
         assert got == argmin_first([sqdist_oracle(p, s) - wk for s, wk in zip(clusters[:, 0], w)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        float,
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 12)),
+        elements=st.floats(-1e3, 1e3),
+    ),
+    GAMMAS,
+    FLOORS,
+)
+def test_aggregate_sums_the_sites_left_to_right(terms, gamma, floor):
+    cfg = InfluenceConfig(gamma=gamma, distance_floor=floor)
+    powered = np.maximum(terms, floor) ** gamma
+    got = aggregate_influence(terms, cfg)
+    for idx in np.ndindex(got.shape):
+        acc = 0.0
+        for v in powered[idx]:
+            acc += float(v)
+        assert got[idx] == -math.copysign(acc, gamma)
+    if terms.shape[-1] <= 7:
+        # numpy sums an axis this short in the same order
+        want = -np.sign(gamma) * np.sum(powered, axis=-1)
+        assert got.tobytes() == want.tobytes()

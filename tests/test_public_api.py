@@ -21,7 +21,6 @@ PUBLIC = [
     "StreamConfig",
     "VIEW_ANGLES",
     "adapt_step",
-    "adaptation",
     "adaptation_curve",
     "aggregate_influence",
     "assign",
@@ -32,18 +31,14 @@ PUBLIC = [
     "ece",
     "error_rate",
     "expand_cluster_sites",
-    "experiments",
     "feature_views",
     "filter_batch",
-    "filtering",
     "fit_logistic_head",
     "fit_power_weights",
     "forward",
     "gen_source",
     "gen_stream",
-    "geometry",
     "logistic_to_power",
-    "metrics",
     "mode_scores",
     "pd_power",
     "prepare_run",
@@ -56,9 +51,7 @@ PUBLIC = [
     "site_terms",
     "soft_label_from_scores",
     "squared_distances",
-    "streams",
     "subsample_per_class",
-    "svg",
     "sweep_rows",
     "vd_distances",
     "vd_loss",
@@ -67,3 +60,4 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(voronoi_tta.__all__) == PUBLIC
+    assert all(hasattr(voronoi_tta, name) for name in PUBLIC)
