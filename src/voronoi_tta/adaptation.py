@@ -309,22 +309,21 @@ def run_stream(fe: FeatureExtractor, stream, c: ClusterSiteSet, cfg: AdaptConfig
 TRACE_COLUMNS = ("batch_index", "mode", "batch_error", "cum_error", "mean_loss", "kept_fraction")
 
 
+def csv_lines(columns, rows) -> list[str]:
+    """The header, then each row's cells; ``str`` of a float is its ``repr``."""
+    return [",".join(columns)] + [",".join(map(str, row)) for row in rows]
+
+
 def trace_csv_lines(trace: RunTrace) -> list[str]:
     """Render a scored trace as CSV lines."""
     if not trace.scored:
         raise ValueError("score the trace against labels before serializing")
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in trace.records:
-        row = [
-            str(r.batch_index),
-            trace.mode,
-            repr(float(r.batch_error)),
-            repr(float(r.cum_error)),
-            repr(float(r.mean_loss)),
-            repr(float(r.kept_fraction)),
-        ]
-        lines.append(",".join(row))
-    return lines
+    rows = [
+        (r.batch_index, trace.mode, float(r.batch_error), float(r.cum_error),
+         float(r.mean_loss), r.kept_fraction)
+        for r in trace.records
+    ]
+    return csv_lines(TRACE_COLUMNS, rows)
 
 
 def trace_summary(trace: RunTrace) -> dict:

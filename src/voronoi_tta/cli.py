@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
-from .adaptation import AdaptConfig, DivergenceError, trace_csv_lines, trace_summary
+from .adaptation import AdaptConfig, DivergenceError, csv_lines, trace_csv_lines, trace_summary
 from .experiments import (
     RENDER_KINDS,
     SWEEP_AXES,
@@ -32,12 +32,9 @@ from .geometry import InfluenceConfig
 from .streams import CORRUPTIONS, StreamConfig
 
 
-def _parse_seeds(text: str) -> tuple:
-    return tuple(int(v) for v in text.replace(",", " ").split())
-
-
-def _parse_modes(text: str) -> tuple:
-    return tuple(v.lower() for v in text.replace(",", " ").split())
+def _list_of(convert):
+    """Parser of a comma- or space-separated list, converting each item."""
+    return lambda text: tuple(convert(v) for v in text.replace(",", " ").split())
 
 
 def _parse_alpha(text: str):
@@ -52,11 +49,7 @@ def _parse_filter(text: str):
         return True
     if v in ("false", "0", "no"):
         return False
-    raise ValueError("filter must be auto, true, or false")
-
-
-def _parse_values(text: str) -> tuple:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+    raise ValueError(f"must be auto, true, or false, got {text!r}")
 
 
 # key -> (parser, help, (section, field)). Keys double as config-file entries
@@ -64,8 +57,8 @@ def _parse_values(text: str) -> tuple:
 # not given keeps its dataclass default.
 KEYS = {
     "out": (str, "output directory", ("spec", "out_dir")),
-    "seeds": (_parse_seeds, "comma-separated seed list", ("spec", "seeds")),
-    "mode": (_parse_modes, "comma-separated mode list (vd, civd, cipd)", ("spec", "modes")),
+    "seeds": (_list_of(int), "comma-separated seed list", ("spec", "seeds")),
+    "mode": (_list_of(str.lower), "comma-separated mode list (vd, civd, cipd)", ("spec", "modes")),
     "classes": (int, "number of classes K", ("stream", "n_classes")),
     "raw_dim": (int, "raw input dimension (even)", ("stream", "raw_dim")),
     "feature_dim": (int, "feature dimension", ("stream", "feature_dim")),
@@ -105,7 +98,7 @@ def parse_value(key: str, text: str, parser=None):
 
 
 def read_config_file(path: str) -> dict:
-    values = {}
+    values, first_line = {}, {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -116,6 +109,11 @@ def read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in KEYS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(
+                f"{path}:{line_no}: duplicate key {key!r} (first set on line {first_line[key]})"
+            )
+        first_line[key] = line_no
         try:
             values[key] = parse_value(key, text.strip())
         except ValueError as exc:
@@ -187,9 +185,8 @@ def cmd_run(spec: ExperimentSpec) -> int:
 
 
 def _write_rows(path: Path, columns, rows):
-    """CSV of the named columns of each row; str of a float is its repr."""
-    lines = [",".join(columns)]
-    lines += [",".join(str(row[col]) for col in columns) for row in rows]
+    """CSV of the named columns of each row."""
+    lines = csv_lines(columns, ([row[col] for col in columns] for row in rows))
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -272,7 +269,7 @@ def main(argv=None) -> int:
             return cmd_ablate(spec)
         if args.command == "sweep":
             values_arg = (
-                parse_value("values", args.values, _parse_values) if args.values else None
+                parse_value("values", args.values, _list_of(float)) if args.values else None
             )
             return cmd_sweep(spec, args.axis, values_arg)
         return cmd_render(spec, args.which)

@@ -45,6 +45,11 @@ SWEEP_AXES = {
 }
 
 
+def _check_distinct(name: str, values):
+    if not values or len(set(values)) != len(values):
+        raise ValueError(f"{name} must be nonempty and distinct, got {list(values)}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One CLI-level experiment: stream and adaptation settings plus the
@@ -61,9 +66,13 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("seeds", "modes"):
-            values = getattr(self, name)
-            if not values or len(set(values)) != len(values):
-                raise ValueError(f"{name} must be nonempty and distinct, got {list(values)}")
+            _check_distinct(name, getattr(self, name))
+        for name, instead in (("mode", "modes"), ("filtering", "filtering")):
+            value = getattr(self.adapt, name)
+            if value != getattr(AdaptConfig, name):
+                raise ValueError(
+                    f"adapt.{name} is set per run, got {value!r}; set the spec's {instead}"
+                )
         for seed in self.seeds:
             if not (isinstance(seed, (int, np.integer)) and seed >= 0):
                 raise ValueError(f"seeds must be non-negative integers, got {seed!r}")
@@ -74,13 +83,6 @@ class ExperimentSpec:
             raise ValueError(f"site_fraction must be in (0, 1], got {self.site_fraction!r}")
         if self.render_grid < 8:
             raise ValueError(f"render_grid must be >= 8, got {self.render_grid}")
-
-
-def resolve_filtering(mode: str, option: bool | None) -> bool:
-    """Tri-state filter option: None enables the filter for cipd only."""
-    if option is None:
-        return mode == "cipd"
-    return bool(option)
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,10 @@ def prepare_run(stream_cfg: StreamConfig, seed: int, site_fraction: float = 1.0)
 def run_single(
     prepared: PreparedRun, adapt_cfg: AdaptConfig, mode: str, filtering: bool | None = None
 ) -> RunTrace:
-    """One scored online run of a prepared seed under the given mode."""
-    cfg = replace(adapt_cfg, mode=mode, filtering=resolve_filtering(mode, filtering))
+    """One scored online run of a prepared seed under the given mode; the
+    filter option None filters in cipd mode only."""
+    filtering = mode == "cipd" if filtering is None else bool(filtering)
+    cfg = replace(adapt_cfg, mode=mode, filtering=filtering)
     trace = run_stream(prepared.extractor, prepared.stream, prepared.clusters, cfg)
     return score_trace(trace, prepared.stream)
 
@@ -174,8 +178,7 @@ def sweep_rows(spec: ExperimentSpec, axis: str, values=None) -> list[dict]:
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}")
     values = SWEEP_AXES[axis] if values is None else tuple(values)
-    if not values or len(set(values)) != len(values):
-        raise ValueError(f"values must be nonempty and distinct, got {list(values)}")
+    _check_distinct("values", values)
     # Every point is built, and so checked, before the first one runs.
     try:
         if axis == "batch_size":

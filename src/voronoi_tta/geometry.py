@@ -142,7 +142,7 @@ class CellPolygon2D:
 
 # ---------------------------------------------------------------------------
 # Score kernels: the three helpers below, with VD and PD as the A = 1 slice.
-# Each public kernel returns (K,) for a single point or (n, K) for a batch.
+# Each public kernel is one expression over the checked table ``_checked_terms``.
 # ---------------------------------------------------------------------------
 
 
@@ -184,34 +184,31 @@ def _weights(c: ClusterSiteSet) -> Array:
     return c.weight_sq
 
 
+def _checked_terms(z, sites: Array, weight_sq=None) -> Array:
+    """``site_terms`` of checked points: (K, A) for one point, (n, K, A) for n."""
+    z = _check_points(z, sites.shape[-1])
+    terms = site_terms(squared_distances(np.atleast_2d(z), sites), weight_sq)
+    return terms[0] if z.ndim == 1 else terms
+
+
 def vd_distances(z, c: ClusterSiteSet) -> Array:
     """Euclidean distance from z to the identity site of every cell."""
-    z = _check_points(z, c.dim)
-    d = site_terms(squared_distances(np.atleast_2d(z), c.clusters[:, :1]))[..., 0]
-    return d[0] if z.ndim == 1 else d
+    return _checked_terms(z, c.clusters[:, :1])[..., 0]
 
 
 def pd_power(z, c: ClusterSiteSet) -> Array:
     """Power distance d(z, mu_k)^2 - v_k^2 to the identity site of every cell."""
-    w = _weights(c)
-    z = _check_points(z, c.dim)
-    power = site_terms(squared_distances(np.atleast_2d(z), c.clusters[:, :1]), w)[..., 0]
-    return power[0] if z.ndim == 1 else power
+    return _checked_terms(z, c.clusters[:, :1], _weights(c))[..., 0]
 
 
 def civd_influences(z, c: ClusterSiteSet, cfg: InfluenceConfig) -> Array:
     """Distance-based influence of every cluster; (K,) or (n, K)."""
-    z = _check_points(z, c.dim)
-    f = aggregate_influence(site_terms(squared_distances(np.atleast_2d(z), c.clusters)), cfg)
-    return f[0] if z.ndim == 1 else f
+    return aggregate_influence(_checked_terms(z, c.clusters), cfg)
 
 
 def cipd_influences(z, c: ClusterSiteSet, cfg: InfluenceConfig) -> Array:
     """Power-based influence of every cluster; (K,) or (n, K)."""
-    w = _weights(c)
-    z = _check_points(z, c.dim)
-    f = aggregate_influence(site_terms(squared_distances(np.atleast_2d(z), c.clusters), w), cfg)
-    return f[0] if z.ndim == 1 else f
+    return aggregate_influence(_checked_terms(z, c.clusters, _weights(c)), cfg)
 
 
 def assign(scores) -> int | Array:

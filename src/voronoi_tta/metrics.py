@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptation import FeatureExtractor, RunTrace
+from .adaptation import FeatureExtractor, RunTrace, csv_lines
 from .geometry import (
     ClusterSiteSet,
     InfluenceConfig,
@@ -148,12 +148,10 @@ def sample_distance_report(
 def distance_report_csv_lines(report: DistanceReport) -> list[str]:
     """CSV rows (alpha, class, distance, influence); the influence column is
     the per-class aggregate repeated on each view row."""
-    lines = ["alpha,class,distance,influence"]
     n_alpha, n_classes = report.distances.shape
-    for alpha in range(n_alpha):
-        for k in range(n_classes):
-            lines.append(
-                f"{alpha},{k},{repr(float(report.distances[alpha, k]))},"
-                f"{repr(float(report.influences[k]))}"
-            )
-    return lines
+    rows = (
+        (alpha, k, float(report.distances[alpha, k]), float(report.influences[k]))
+        for alpha in range(n_alpha)
+        for k in range(n_classes)
+    )
+    return csv_lines(("alpha", "class", "distance", "influence"), rows)

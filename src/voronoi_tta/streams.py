@@ -60,6 +60,11 @@ class StreamConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_classes", "raw_dim", "feature_dim", "n_train_per_class",
+                     "batch_size", "n_batches", "severity", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.raw_dim < 2 or self.raw_dim % 2 != 0:
@@ -76,6 +81,8 @@ class StreamConfig:
             raise ValueError(f"corruption must be one of {CORRUPTIONS}, got {self.corruption!r}")
         if not 1 <= self.severity <= 5:
             raise ValueError(f"severity must be an integer in 1..5, got {self.severity}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         alpha = self.label_shift_alpha
         if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"label_shift_alpha must be finite and positive, got {alpha!r}")
@@ -101,26 +108,18 @@ class Batch:
         object.__setattr__(self, "hidden_labels", y)
 
 
+# Exact (cos, sin) of the quarter turns, so that those views are exact.
+_QUARTER_TURNS = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, 0.0), 270.0: (0.0, -1.0)}
+
+
 def _rotate_pairs(x: Array, angle_deg: float) -> Array:
     if x.shape[-1] % 2 != 0:
         raise ValueError("inputs must have an even number of coordinates")
-    quarter = {0.0: 0, 90.0: 1, 180.0: 2, 270.0: 3}.get(angle_deg % 360.0)
+    t = np.deg2rad(angle_deg)
+    ct, st = _QUARTER_TURNS.get(angle_deg % 360.0, (np.cos(t), np.sin(t)))
     pairs = x.reshape(x.shape[:-1] + (-1, 2))
-    a = pairs[..., 0]
-    b = pairs[..., 1]
-    if quarter == 0:
-        return x.copy()
-    if quarter == 1:
-        out = np.stack([-b, a], axis=-1)
-    elif quarter == 2:
-        out = np.stack([-a, -b], axis=-1)
-    elif quarter == 3:
-        out = np.stack([b, -a], axis=-1)
-    else:
-        t = np.deg2rad(angle_deg)
-        ct, st = np.cos(t), np.sin(t)
-        out = np.stack([ct * a - st * b, st * a + ct * b], axis=-1)
-    return out.reshape(x.shape)
+    a, b = pairs[..., 0], pairs[..., 1]
+    return np.stack([ct * a - st * b, st * a + ct * b], axis=-1).reshape(x.shape)
 
 
 def class_means(cfg: StreamConfig) -> Array:

@@ -235,6 +235,16 @@ def test_all_filtered_gives_zero_loss_and_grad():
     assert not gs.any() and not gb.any()
 
 
+def test_batch_loss_rejects_a_wrong_keep_mask_or_cipd_without_weights():
+    rng, fe, clusters = random_setup(7)
+    x = rng.normal(size=(4, 5))
+    with pytest.raises(ValueError, match="keep_mask length must match the batch size"):
+        batch_loss_and_grad(fe, x, clusters, AdaptConfig(mode="vd"), np.ones(3, bool))
+    unweighted = ClusterSiteSet(clusters.clusters)
+    with pytest.raises(ValueError, match="cipd mode requires cluster weights"):
+        batch_loss_and_grad(fe, x, unweighted, AdaptConfig(mode="cipd"), np.ones(4, bool))
+
+
 def test_sample_at_site_contributes_no_vd_gradient_through_clamp():
     # one sample exactly at a site: the clamped distance term is a constant
     fe = FeatureExtractor(np.eye(2), np.ones(2), np.zeros(2))

@@ -44,6 +44,21 @@ def test_config_file_round_trip(tmp_path):
     assert spec.modes == ("vd", "cipd")
 
 
+@pytest.mark.parametrize("second", ["seeds = 1", "batch-size = 4"], ids=["same", "dashed"])
+def test_config_rejects_a_repeated_key(tmp_path, capsys, second):
+    cfg = tmp_path / "twice.cfg"
+    first = second.split()[0].replace("-", "_")
+    cfg.write_text(f"{first} = 0\nclasses = 4\n{second}\n")
+    message = f"{cfg}:3: duplicate key '{first}' (first set on line 1)"
+    with pytest.raises(ValueError) as info:
+        read_config_file(cfg)
+    assert str(info.value) == message
+    out = tmp_path / "out"
+    assert run_cli("run", *FAST, "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_key = 3\n")
@@ -187,6 +202,19 @@ def test_render_with_two_seeds_exits_1_naming_seeds(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_filter_value_exits_1_naming_key_and_value(tmp_path, capsys):
+    assert run_cli("run", *FAST, "--filter", "maybe", "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: filter: must be auto, true, or false, got 'maybe'\n"
+
+
+def test_filter_true_filters_a_vd_run(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", *FAST, "--mode", "vd", "--filter", "true", "--out", str(out)) == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["filtering"] is True
+    kept = [float(r.split(",")[5]) for r in (out / "trace_vd_seed0.csv").read_text().split()[1:]]
+    assert min(kept) < 1.0  # without the filter a vd run keeps every sample
+
+
 def test_exit_codes():
     assert run_cli("run", "--corruption", "fog") == 1  # config error
     assert run_cli("render", "--which", "vd", *FAST) == 1  # feature_dim != 2
@@ -262,16 +290,20 @@ def test_large_class_mean_source_fits_and_exits_0(tmp_path):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("where", ["batch 1"], ids=["one-step"])
-def test_diverging_online_loop_exits_2_without_warnings(tmp_path, capsys, where):
+@pytest.mark.parametrize(
+    "flag, value, where",
+    [("--lr", "1e300", "non-finite scores in vd mode, batch 1"),
+     ("--tau", "1e-308", "non-finite loss in vd mode, batch 0")],
+    ids=["one-step", "tiny-tau"],
+)
+def test_diverging_online_loop_exits_2_without_warnings(tmp_path, capsys, flag, value, where):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run_cli("run", "--seeds", "0", "--n-batches", "6", "--n-train-per-class", "50",
-                       "--mode", "vd", "--lr", "1e300", "--out", str(tmp_path / "out"))
+                       "--mode", "vd", flag, value, "--out", str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("numeric failure:") and err.count("\n") == 1
-    assert err.rstrip().endswith(f"vd mode, {where}")
+    assert err == f"numeric failure: {where}\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voronoi_tta.adaptation import FeatureExtractor, forward
+from voronoi_tta.adaptation import AdaptConfig, FeatureExtractor, forward
 from voronoi_tta.experiments import (
     _SOURCE_CACHE_SIZE,
     _STREAM_ONLY,
+    ExperimentSpec,
     _prepare_source,
     prepare_run,
+    run_grid,
+    sweep_rows,
 )
 from voronoi_tta.geometry import ClusterSiteSet
 from voronoi_tta.streams import (
@@ -191,3 +194,31 @@ def test_cache_size_is_bounded():
     assert (info.maxsize, info.currsize) == (_SOURCE_CACHE_SIZE, _SOURCE_CACHE_SIZE)
     prepare_run(tiny, 0)  # the oldest entry was evicted
     assert _prepare_source.cache_info().misses == _SOURCE_CACHE_SIZE + 4
+
+
+def test_alpha_sweep_runs_each_label_shift():
+    tiny = StreamConfig(n_classes=3, raw_dim=4, feature_dim=4, n_train_per_class=20,
+                        batch_size=8, n_batches=2)
+    spec = ExperimentSpec(stream=tiny, modes=("vd", "cipd"), seeds=(0,))
+    rows = sweep_rows(spec, "alpha", (1.0, 0.1))
+    assert [(r["axis"], r["value"], r["mode"]) for r in rows] == [
+        ("alpha", v, m) for v in (1.0, 0.1) for m in ("vd", "cipd")
+    ]
+    for row in rows:
+        point = replace(spec, stream=replace(tiny, label_shift_alpha=row["value"]))
+        assert row["mean_error"] == run_grid(point)[(row["mode"], 0)].final_cum_error()
+
+
+@pytest.mark.parametrize(
+    "adapt, message",
+    [
+        (AdaptConfig(mode="cipd"), "adapt.mode is set per run, got 'cipd'; set the spec's modes"),
+        (AdaptConfig(filtering=True),
+         "adapt.filtering is set per run, got True; set the spec's filtering"),
+    ],
+    ids=["mode", "filtering"],
+)
+def test_spec_rejects_adapt_fields_that_each_run_sets(adapt, message):
+    with pytest.raises(ValueError) as info:
+        ExperimentSpec(adapt=adapt, modes=("vd",))
+    assert str(info.value) == message

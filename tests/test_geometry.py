@@ -382,6 +382,19 @@ def test_cells_interior_points_get_their_cell():
         assert np.all(assign(-pd_power(pts, p)) == cell.cell_index)
 
 
+@pytest.mark.parametrize(
+    "weight_sq, winner", [((0.0, 0.0), 0), ((0.0, 1.0), 1), ((1.0, 0.0), 0)],
+    ids=["equal-weights", "heavier-second", "heavier-first"],
+)
+def test_cells_of_coincident_sites(weight_sq, winner):
+    # equal weights: the lower index keeps the cell; else the larger weight wins
+    p = ClusterSiteSet(np.array([[0.5, 0.0], [0.5, 0.0]])[:, None], np.array(weight_sq))
+    cells = compute_cells_2d(p, (-1, 1, -1, 1))
+    assert len(cells[winner].vertices) == 4 and len(cells[1 - winner].vertices) == 0
+    corners = cells[winner].vertices * 0.99
+    assert np.all(assign(-pd_power(corners, p)) == winner)
+
+
 def test_cells_require_two_dimensions():
     for n_sites in (1, 4):
         p = ClusterSiteSet(np.zeros((2, n_sites, 3)), np.zeros(2))

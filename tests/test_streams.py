@@ -394,6 +394,16 @@ def test_corruption_applies_to_stream_only():
     assert np.min(displaced) > 0.1  # every stream sample carries the offset
 
 
+def test_scale_drift_scales_the_clean_stream():
+    fields = dict(n_classes=3, raw_dim=4, feature_dim=4, n_train_per_class=10,
+                  severity=2, batch_size=8, n_batches=3, seed=5)
+    clean = gen_stream(StreamConfig(corruption="none", **fields))
+    scaled = gen_stream(StreamConfig(corruption="scale_drift", **fields))
+    for c, s in zip(clean, scaled):
+        assert np.array_equal(s.hidden_labels, c.hidden_labels)
+        assert np.array_equal(s.inputs, c.inputs * (1.0 + 0.15 * 2))
+
+
 def test_subsample_keeps_every_class():
     x, y = gen_source(SMALL)
     xs, ys = subsample_per_class(x, y, 0.01, seed=12)
@@ -415,3 +425,24 @@ def test_config_validation():
         StreamConfig(severity=6)
     with pytest.raises(ValueError):
         StreamConfig(label_shift_alpha=0.0)
+
+
+INTEGER_FIELDS = ("n_classes", "raw_dim", "feature_dim", "n_train_per_class",
+                  "batch_size", "n_batches", "severity", "seed")
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [(name, 2.5, f"{name} must be an integer, got 2.5") for name in INTEGER_FIELDS]
+    + [
+        ("n_classes", 3.0, "n_classes must be an integer, got 3.0"),
+        ("batch_size", True, "batch_size must be an integer, got True"),
+        ("severity", "3", "severity must be an integer, got '3'"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ],
+)
+def test_integer_fields_are_checked_where_the_config_is_built(name, value, message):
+    with pytest.raises(ValueError) as info:
+        StreamConfig(**{name: value})
+    assert str(info.value) == message
+    StreamConfig(**{name: np.int64(getattr(StreamConfig(), name))})  # numpy integers pass
