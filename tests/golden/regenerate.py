@@ -16,13 +16,16 @@ from voronoi_tta.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
-# The default stream cut to 10 batches; site fraction 0.1 unless swept.
+# The default stream cut to 10 batches; site fraction 0.1 unless swept or long.
 _TINY = ["--n-batches", "10", "--seeds", "0,1"]
 COMMANDS = {
     "run": ["run", *_TINY, "--site-fraction", "0.1"],  # cipd filtered (auto)
     "run_unfiltered": ["run", *_TINY, "--site-fraction", "0.1", "--mode", "cipd", "--filter", "false"],
     "ablate": ["ablate", *_TINY, "--site-fraction", "0.1"],
     "sweep": ["sweep", *_TINY, "--axis", "site-fraction", "--values", "1,0.01"],
+    # online_long's panel: a last-bit change that only grows after 100 or
+    # more batches shows here and not in the 10-batch files.
+    "long": ["run", "--n-batches", "400", "--site-fraction", "0.01", "--seeds", "0"],
 }
 
 
