@@ -45,7 +45,7 @@ class FeatureExtractor:
             raise ValueError("frozen_map must be 2-D")
         if s.shape != (m.shape[0],) or b.shape != (m.shape[0],):
             raise ValueError("scale and shift must match the feature dimension")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(m).all() and np.isfinite(s).all() and np.isfinite(b).all()):
             raise ValueError("extractor parameters must be finite")
         for arr in (m, s, b):
             arr.setflags(write=False)
@@ -147,12 +147,12 @@ def soft_label_from_scores(scores, tau: float, epsilon: float = 0.0) -> Array:
     if not tau > 0:
         raise ValueError("tau must be positive")
     scores = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     q = scores / tau
-    q = q - np.max(q, axis=-1, keepdims=True)
+    q = q - q.max(axis=-1, keepdims=True)
     e = np.exp(q)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def vd_loss(probs) -> float | Array:
@@ -182,12 +182,12 @@ def mode_scores(features, c: ClusterSiteSet, cfg: AdaptConfig) -> Array:
 def _entropy_and_score_grad(scores: Array, tau: float) -> tuple[Array, Array]:
     """Per-sample entropy H and dH/dscores for rows of scores."""
     q = scores / tau
-    q = q - np.max(q, axis=-1, keepdims=True)
-    logp = q - np.log(np.sum(np.exp(q), axis=-1, keepdims=True))
+    q = q - q.max(axis=-1, keepdims=True)
+    logp = q - np.log(np.exp(q).sum(axis=-1, keepdims=True))
     p = np.exp(logp)
     # logp is finite wherever the scores are, so p = 0 terms are exact zeros
     # and non-finite scores stay visible in h.
-    h = -np.sum(p * logp, axis=-1)
+    h = -(p * logp).sum(axis=-1)
     g = -p * (logp + h[:, None]) / tau
     return h, g
 
@@ -207,7 +207,7 @@ def batch_loss_and_grad(
     if keep.shape != (inputs.shape[0],):
         raise ValueError("keep_mask length must match the batch size")
     ell = fe.feature_dim
-    if not np.any(keep):
+    if not keep.any():
         return 0.0, np.zeros(ell), np.zeros(ell)
 
     # VD is the identity slice at gamma = 1; cipd alone reads the weights.
@@ -227,15 +227,16 @@ def batch_loss_and_grad(
     clamped = np.maximum(terms, floor)
     # dterm/dz = (z - mu) * inner: 1/d for distances, 2 for power terms.
     inner = 2.0 if weight_sq is not None else 1.0 / clamped
-    # dF/dterm_a = -sign(gamma) * gamma * clamped^(gamma-1) on active terms
-    w = np.where(active, -np.sign(gamma) * gamma * clamped ** (gamma - 1.0) * inner, 0.0)
+    # dF/dterm_a = -sign(gamma) * gamma * clamped^(gamma-1), that is
+    # -|gamma| * clamped^(gamma-1), on active terms
+    w = np.where(active, -abs(gamma) * clamped ** (gamma - 1.0) * inner, 0.0)
     w = (w * g[:, :, None]).reshape(len(z), -1)  # (n, K * A)
-    grad_z = z * np.sum(w, axis=1)[:, None] - w @ mu.reshape(-1, ell)
+    grad_z = z * w.sum(axis=1)[:, None] - w @ mu.reshape(-1, ell)
 
     n_kept = x.shape[0]
-    loss = float(np.mean(h))
-    grad_shift = np.sum(grad_z, axis=0) / n_kept
-    grad_scale = np.sum(grad_z * u, axis=0) / n_kept
+    loss = float(h.mean())
+    grad_shift = grad_z.sum(axis=0) / n_kept
+    grad_scale = (grad_z * u).sum(axis=0) / n_kept
     return loss, grad_scale, grad_shift
 
 
@@ -245,7 +246,7 @@ def adapt_step(fe: FeatureExtractor, grad_scale, grad_shift, learning_rate: floa
         raise ValueError("learning_rate must be positive")
     scale = fe.scale - learning_rate * np.asarray(grad_scale, dtype=float)
     shift = fe.shift - learning_rate * np.asarray(grad_shift, dtype=float)
-    if not (np.all(np.isfinite(scale)) and np.all(np.isfinite(shift))):
+    if not (np.isfinite(scale).all() and np.isfinite(shift).all()):
         raise DivergenceError("non-finite gradient step")
     return replace(fe, scale=scale, shift=shift)
 
@@ -271,14 +272,14 @@ def run_stream(fe: FeatureExtractor, stream, c: ClusterSiteSet, cfg: AdaptConfig
             where = f"{cfg.mode} mode, batch {t}"
             inputs = np.atleast_2d(np.asarray(batch.inputs, dtype=float))
             z = forward(fe, inputs)
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise DivergenceError(f"non-finite features in {where}")
             scores = mode_scores(z, c, cfg)
-            if not np.all(np.isfinite(scores)):
+            if not np.isfinite(scores).all():
                 raise DivergenceError(f"non-finite scores in {where}")
             probs = soft_label_from_scores(scores, cfg.tau)
             preds = geometry.assign(scores)
-            conf = np.max(probs, axis=-1)
+            conf = probs.max(axis=-1)
 
             if cfg.filtering:
                 keep = filter_batch(z, filter_clusters, cfg.influence).keep_mask

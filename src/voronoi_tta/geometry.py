@@ -38,7 +38,7 @@ def _check_points(z, dim: int) -> Array:
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != dim:
         raise ValueError(f"expected points of dimension {dim}, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("points must be finite")
     return z
 
@@ -148,8 +148,16 @@ class CellPolygon2D:
 
 def squared_distances(z: Array, clusters: Array) -> Array:
     """(n, K, A) squared Euclidean distances from each row of ``z`` (n, dim)
-    to every site of ``clusters`` (K, A, dim)."""
-    diff = z[:, None, None, :] - clusters[None, :, :, :]
+    to every site of ``clusters`` (K, A, dim), both float64.
+
+    Each row is repeated K * A times so that the sites are subtracted in one
+    inner loop of K * A * dim per row, where the broadcast subtract
+    ``z[:, None, None, :] - clusters`` runs a loop only dim long per site.
+    The differences, their layout and the reduction are the broadcast
+    form's, so the table is bitwise equal to it."""
+    diff = np.repeat(z, clusters.shape[0] * clusters.shape[1], axis=0)
+    diff = diff.reshape(len(z), *clusters.shape)
+    diff -= clusters
     return np.einsum("nkad,nkad->nka", diff, diff)
 
 
@@ -175,7 +183,7 @@ def aggregate_influence(terms: Array, cfg: InfluenceConfig) -> Array:
     total = powered[..., 0]
     for a in range(1, powered.shape[-1]):
         total = total + powered[..., a]
-    return -np.sign(cfg.gamma) * total
+    return -math.copysign(1.0, cfg.gamma) * total
 
 
 def _weights(c: ClusterSiteSet) -> Array:
@@ -215,7 +223,7 @@ def assign(scores) -> int | Array:
     """The cell of each score row: the lowest index attaining its largest
     score. A single row (K,) gives an ``int``, a batch (n, K) an (n,) array."""
     scores = np.asarray(scores)
-    idx = np.argmax(scores, axis=-1)
+    idx = scores.argmax(axis=-1)
     return int(idx) if scores.ndim == 1 else idx
 
 

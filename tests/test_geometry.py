@@ -21,6 +21,7 @@ from voronoi_tta.geometry import (
     compute_cells_2d,
     logistic_to_power,
     pd_power,
+    squared_distances,
     vd_distances,
 )
 
@@ -575,3 +576,21 @@ def test_aggregate_sums_the_sites_left_to_right(terms, gamma, floor):
         # numpy sums an axis this short in the same order
         want = -np.sign(gamma) * np.sum(powered, axis=-1)
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 9), st.integers(1, 5), st.integers(1, 4), st.integers(1, 6))
+def test_squared_distances_equal_the_broadcast_form(data, n, k, a, dim):
+    finite = st.floats(-1e6, 1e6)
+    # every other column of w: a z that is not contiguous
+    w = data.draw(hnp.arrays(float, (n, 2 * dim), elements=finite))
+    clusters = data.draw(hnp.arrays(float, (k, a, dim), elements=finite))
+    for arr in (w, clusters):
+        arr.setflags(write=False)  # the kernel must not write its inputs
+    for z in (w[:, ::2], np.ascontiguousarray(w[:, ::2])):
+        for sites in (clusters, clusters[:, :1]):  # VD reads the A = 1 slice
+            d = z[:, None, None, :] - sites[None]
+            want = np.einsum("nkad,nkad->nka", d, d)
+            got = squared_distances(z, sites)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
