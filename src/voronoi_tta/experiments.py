@@ -28,6 +28,7 @@ from .geometry import (
 from .metrics import score_trace
 from .streams import (
     StreamConfig,
+    _is_integer,
     expand_cluster_sites,
     fit_power_weights,
     gen_source,
@@ -74,15 +75,15 @@ class ExperimentSpec:
                     f"adapt.{name} is set per run, got {value!r}; set the spec's {instead}"
                 )
         for seed in self.seeds:
-            if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            if not (_is_integer(seed) and seed >= 0):
                 raise ValueError(f"seeds must be non-negative integers, got {seed!r}")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
         if not 0 < self.site_fraction <= 1:
             raise ValueError(f"site_fraction must be in (0, 1], got {self.site_fraction!r}")
-        if self.render_grid < 8:
-            raise ValueError(f"render_grid must be >= 8, got {self.render_grid}")
+        if not (_is_integer(self.render_grid) and self.render_grid >= 8):
+            raise ValueError(f"render_grid must be an integer >= 8, got {self.render_grid!r}")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,10 @@ _TAG_SUBSAMPLE = 16
 _CENTROID_NORM_FACTOR = 1.8
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     """Generator parameters for one synthetic source/stream pair."""
@@ -63,7 +67,7 @@ class StreamConfig:
         for name in ("n_classes", "raw_dim", "feature_dim", "n_train_per_class",
                      "batch_size", "n_batches", "severity", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")

@@ -222,3 +222,18 @@ def test_spec_rejects_adapt_fields_that_each_run_sets(adapt, message):
     with pytest.raises(ValueError) as info:
         ExperimentSpec(adapt=adapt, modes=("vd",))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seeds", (True,), "seeds must be non-negative integers, got True"),
+        ("render_grid", 9.5, "render_grid must be an integer >= 8, got 9.5"),
+        ("render_grid", True, "render_grid must be an integer >= 8, got True"),
+        ("render_grid", 7, "render_grid must be an integer >= 8, got 7"),
+    ],
+)
+def test_spec_rejects_non_integer_seeds_and_render_grid(field, value, message):
+    with pytest.raises(ValueError) as info:
+        ExperimentSpec(**{field: value})
+    assert str(info.value) == message
