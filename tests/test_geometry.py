@@ -582,12 +582,12 @@ def test_aggregate_sums_the_sites_left_to_right(terms, gamma, floor):
 @given(st.data(), st.integers(1, 9), st.integers(1, 5), st.integers(1, 4), st.integers(1, 6))
 def test_squared_distances_equal_the_broadcast_form(data, n, k, a, dim):
     finite = st.floats(-1e6, 1e6)
-    # every other column of w: a z that is not contiguous
     w = data.draw(hnp.arrays(float, (n, 2 * dim), elements=finite))
     clusters = data.draw(hnp.arrays(float, (k, a, dim), elements=finite))
-    for arr in (w, clusters):
+    points = (w[:, ::2], w[:, ::2].copy())  # a strided z and a contiguous one
+    for arr in (*points, clusters):
         arr.setflags(write=False)  # the kernel must not write its inputs
-    for z in (w[:, ::2], np.ascontiguousarray(w[:, ::2])):
+    for z in points:
         for sites in (clusters, clusters[:, :1]):  # VD reads the A = 1 slice
             d = z[:, None, None, :] - sites[None]
             want = np.einsum("nkad,nkad->nka", d, d)
