@@ -47,7 +47,7 @@ for name, w in (("vd", np.zeros(5)), ("pd", weights)):
     (OUT / f"{name}_cells.svg").write_text(
         polygons_svg(cells, bbox, points=sites, point_classes=range(5))
     )
-    areas = ["empty" if len(c.vertices) < 3 else f"{len(c.vertices)} verts" for c in cells]
+    areas = ["empty" if len(c) < 3 else f"{len(c)} verts" for c in cells]
     print(f"{name} cells:", ", ".join(areas))
 
 # Cluster-induced versions: three sites per cell, gamma = -0.8 damps the

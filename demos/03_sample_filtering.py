@@ -41,7 +41,7 @@ for i in np.flatnonzero(~report.keep_mask):
 
 # Render the subtraction band for a 2-D variant of the same setup.
 spec = ExperimentSpec(
-    stream=StreamConfig(feature_dim=2, n_classes=6, n_batches=1, seed=3),
+    stream=StreamConfig(feature_dim=2, n_classes=6, n_batches=1),
     seeds=(3,),
     render_grid=220,
 )

@@ -97,9 +97,9 @@ class AdaptConfig:
 
 @dataclass
 class BatchRecord:
-    """What the loop saw for one batch, before adapting on it."""
+    """What the loop saw for one batch, before adapting on it; its batch index
+    is its position in ``RunTrace.records``."""
 
-    batch_index: int
     predictions: Array  # (n,) int
     confidences: Array  # (n,) max soft-label probability
     keep_mask: Array  # (n,) bool
@@ -117,16 +117,17 @@ class RunTrace:
     mode: str
     records: list[BatchRecord] = field(default_factory=list)
 
-    @property
-    def scored(self) -> bool:
-        return all(r.batch_error is not None for r in self.records)
-
-    def final_cum_error(self) -> float:
+    def scored_records(self) -> list[BatchRecord]:
+        """The records, once ``metrics.score_trace`` has filled their errors;
+        every reader of the error columns goes through this check."""
         if not self.records:
             raise ValueError("empty trace")
-        if not self.scored:
+        if any(r.batch_error is None for r in self.records):
             raise ValueError("trace has not been scored against labels")
-        return self.records[-1].cum_error
+        return self.records
+
+    def final_cum_error(self) -> float:
+        return self.scored_records()[-1].cum_error
 
 
 def forward(fe: FeatureExtractor, x) -> Array:
@@ -211,10 +212,8 @@ def batch_loss_and_grad(
         return 0.0, np.zeros(ell), np.zeros(ell)
 
     # VD is the identity slice at gamma = 1; cipd alone reads the weights.
-    if cfg.mode == "cipd" and c.weight_sq is None:
-        raise ValueError("cipd mode requires cluster weights")
     mu = c.clusters[:, :1] if cfg.mode == "vd" else c.clusters  # (K, A, ell)
-    weight_sq = c.weight_sq if cfg.mode == "cipd" else None
+    weight_sq = geometry._weights(c) if cfg.mode == "cipd" else None
     influence = replace(cfg.influence, gamma=1.0) if cfg.mode == "vd" else cfg.influence
     floor, gamma = influence.distance_floor, influence.gamma
 
@@ -295,10 +294,9 @@ def run_stream(fe: FeatureExtractor, stream, c: ClusterSiteSet, cfg: AdaptConfig
                 except DivergenceError as exc:
                     raise DivergenceError(f"{exc} in {where}") from None
 
-            record = BatchRecord(
-                batch_index=t, predictions=preds, confidences=conf, keep_mask=keep, mean_loss=loss
+            trace.records.append(
+                BatchRecord(predictions=preds, confidences=conf, keep_mask=keep, mean_loss=loss)
             )
-            trace.records.append(record)
     return trace
 
 
@@ -317,26 +315,22 @@ def csv_lines(columns, rows) -> list[str]:
 
 def trace_csv_lines(trace: RunTrace) -> list[str]:
     """Render a scored trace as CSV lines."""
-    if not trace.scored:
-        raise ValueError("score the trace against labels before serializing")
     rows = [
-        (r.batch_index, trace.mode, float(r.batch_error), float(r.cum_error),
+        (t, trace.mode, float(r.batch_error), float(r.cum_error),
          float(r.mean_loss), r.kept_fraction)
-        for r in trace.records
+        for t, r in enumerate(trace.scored_records())
     ]
     return csv_lines(TRACE_COLUMNS, rows)
 
 
 def trace_summary(trace: RunTrace) -> dict:
     """JSON-ready summary of a scored trace."""
-    if not trace.scored:
-        raise ValueError("score the trace against labels before summarizing")
-    n = sum(len(r.predictions) for r in trace.records)
+    records = trace.scored_records()
     return {
         "mode": trace.mode,
-        "n_batches": len(trace.records),
-        "n_samples": n,
-        "final_cum_error": trace.final_cum_error(),
-        "mean_batch_loss": float(np.mean([r.mean_loss for r in trace.records])),
-        "mean_kept_fraction": float(np.mean([r.kept_fraction for r in trace.records])),
+        "n_batches": len(records),
+        "n_samples": sum(len(r.predictions) for r in records),
+        "final_cum_error": records[-1].cum_error,
+        "mean_batch_loss": float(np.mean([r.mean_loss for r in records])),
+        "mean_kept_fraction": float(np.mean([r.kept_fraction for r in records])),
     }

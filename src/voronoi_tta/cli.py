@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .adaptation import AdaptConfig, DivergenceError, csv_lines, trace_csv_lines, trace_summary
 from .experiments import (
+    PER_RUN_FIELDS,
     RENDER_KINDS,
     SWEEP_AXES,
     ExperimentSpec,
@@ -155,8 +156,10 @@ def write_atomic(path: Path, text: str):
 
 def _spec_dict(spec: ExperimentSpec) -> dict:
     d = asdict(spec)
-    # Set per run; config.modes, config.filtering and config.seeds say what ran.
-    del d["adapt"]["mode"], d["adapt"]["filtering"], d["stream"]["seed"]
+    # Set per run; the spec fields of PER_RUN_FIELDS say what ran.
+    for path in PER_RUN_FIELDS:
+        section, name = path.split(".")
+        del d[section][name]
     return d
 
 

@@ -46,6 +46,10 @@ SWEEP_AXES = {
 }
 
 
+# The config fields each run sets for itself -> the spec field that sets them.
+PER_RUN_FIELDS = {"adapt.mode": "modes", "adapt.filtering": "filtering", "stream.seed": "seeds"}
+
+
 def _check_distinct(name: str, values):
     if not values or len(set(values)) != len(values):
         raise ValueError(f"{name} must be nonempty and distinct, got {list(values)}")
@@ -68,12 +72,12 @@ class ExperimentSpec:
     def __post_init__(self):
         for name in ("seeds", "modes"):
             _check_distinct(name, getattr(self, name))
-        for name, instead in (("mode", "modes"), ("filtering", "filtering")):
-            value = getattr(self.adapt, name)
-            if value != getattr(AdaptConfig, name):
-                raise ValueError(
-                    f"adapt.{name} is set per run, got {value!r}; set the spec's {instead}"
-                )
+        for path, instead in PER_RUN_FIELDS.items():
+            section, name = path.split(".")
+            config = getattr(self, section)
+            value = getattr(config, name)
+            if value != getattr(type(config), name):
+                raise ValueError(f"{path} is set per run, got {value!r}; set the spec's {instead}")
         for seed in self.seeds:
             if not (_is_integer(seed) and seed >= 0):
                 raise ValueError(f"seeds must be non-negative integers, got {seed!r}")

@@ -128,18 +128,6 @@ class InfluenceConfig:
             )
 
 
-@dataclass(frozen=True)
-class CellPolygon2D:
-    """One diagram cell clipped to a bounding box.
-
-    ``vertices`` is a convex counterclockwise (V, 2) array; it may be empty
-    when the cell does not intersect the box.
-    """
-
-    cell_index: int
-    vertices: Array
-
-
 # ---------------------------------------------------------------------------
 # Score kernels: the three helpers below, with VD and PD as the A = 1 slice.
 # Each public kernel is one expression over the checked table ``_checked_terms``.
@@ -281,14 +269,15 @@ def _dedupe_vertices(poly: Array) -> Array:
     return poly[keep]
 
 
-def compute_cells_2d(c: ClusterSiteSet, bbox) -> list[CellPolygon2D]:
+def compute_cells_2d(c: ClusterSiteSet, bbox) -> list[Array]:
     """Power-diagram cells of the identity sites clipped to an axis-aligned box.
 
-    ``bbox`` is (xmin, xmax, ymin, ymax). Cell k is the intersection of the
+    ``bbox`` is (xmin, xmax, ymin, ymax). Entry k of the list is cell k, the
     half-planes ``2 (mu_j - mu_k) . z <= |mu_j|^2 - v_j^2 - |mu_k|^2 + v_k^2``
-    over all j != k, clipped to the box; the K polygons tile the box up to
-    shared edges. Zero weights give the Voronoi cells. Only weighted
-    dimension-2 site sets are supported.
+    over all j != k clipped to the box, as a convex counterclockwise (V, 2)
+    array, (0, 2) when empty; the K polygons tile the box up to shared edges.
+    Zero weights give the Voronoi cells. Only weighted dimension-2 site sets
+    are supported.
     """
     if c.dim != 2:
         raise ValueError("compute_cells_2d requires 2-D sites")
@@ -317,5 +306,5 @@ def compute_cells_2d(c: ClusterSiteSet, bbox) -> list[CellPolygon2D]:
             poly = _clip_halfplane(poly, a, rhs)
         if len(poly) < 3:
             poly = np.empty((0, 2))
-        cells.append(CellPolygon2D(cell_index=k, vertices=poly))
+        cells.append(poly)
     return cells

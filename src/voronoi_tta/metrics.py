@@ -83,12 +83,8 @@ def score_trace(trace: RunTrace, stream) -> RunTrace:
 
 
 def adaptation_curve(trace: RunTrace) -> list[tuple[int, float]]:
-    """(batch_index, error over all samples in batches up to and including it)."""
-    if not trace.records:
-        raise ValueError("empty trace")
-    if not trace.scored:
-        raise ValueError("score the trace against labels first")
-    return [(r.batch_index, float(r.cum_error)) for r in trace.records]
+    """(batch index, error over all samples in batches up to and including it)."""
+    return [(t, float(r.cum_error)) for t, r in enumerate(trace.scored_records())]
 
 
 # ---------------------------------------------------------------------------

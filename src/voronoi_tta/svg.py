@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CellPolygon2D
-
 Array = np.ndarray
 
 PALETTE = (
@@ -72,22 +70,21 @@ def _document(frame: _Frame, body: list[str]) -> str:
 
 
 def polygons_svg(
-    cells: list[CellPolygon2D],
+    cells: list[Array],
     bbox,
     points: Array | None = None,
     point_classes=None,
 ) -> str:
-    """One filled polygon per non-empty cell, colored by cell index."""
+    """One filled polygon per non-empty cell, colored by its index in ``cells``
+    (the (V, 2) vertex arrays of ``compute_cells_2d``)."""
     frame = _Frame(bbox)
     body = []
-    for cell in cells:
-        if len(cell.vertices) < 3:
+    for k, vertices in enumerate(cells):
+        if len(vertices) < 3:
             continue
-        coords = " ".join(
-            f"{_fmt(frame.x(vx))},{_fmt(frame.y(vy))}" for vx, vy in cell.vertices
-        )
+        coords = " ".join(f"{_fmt(frame.x(vx))},{_fmt(frame.y(vy))}" for vx, vy in vertices)
         body.append(
-            f'<polygon points="{coords}" fill="{cell_color(cell.cell_index)}" '
+            f'<polygon points="{coords}" fill="{cell_color(k)}" '
             f'fill-opacity="0.55" stroke="#333333" stroke-width="1.2"/>'
         )
     if points is not None:

@@ -420,7 +420,7 @@ def test_11_renderer_oracle():
         )
         labels = assign(-pd_power(pts, extras["psites"]))
         for pt, k in zip(pts, labels):
-            assert point_in_convex(cells[k].vertices, pt, tol=1e-7)
+            assert point_in_convex(cells[k], pt, tol=1e-7)
         checked += len(pts)
     report(11, f"{checked} rendered samples agree with assignment ops, 100%")
 

@@ -14,6 +14,7 @@ from voronoi_tta.adaptation import (
     AdaptConfig,
     DivergenceError,
     FeatureExtractor,
+    RunTrace,
     adapt_step,
     batch_loss_and_grad,
     forward,
@@ -21,6 +22,7 @@ from voronoi_tta.adaptation import (
     run_stream,
     soft_label_from_scores,
     trace_csv_lines,
+    trace_summary,
     vd_loss,
 )
 from voronoi_tta.geometry import (
@@ -31,7 +33,7 @@ from voronoi_tta.geometry import (
     civd_influences,
     vd_distances,
 )
-from voronoi_tta.metrics import score_trace
+from voronoi_tta.metrics import adaptation_curve, score_trace
 from voronoi_tta.streams import Batch
 
 
@@ -241,7 +243,7 @@ def test_batch_loss_rejects_a_wrong_keep_mask_or_cipd_without_weights():
     with pytest.raises(ValueError, match="keep_mask length must match the batch size"):
         batch_loss_and_grad(fe, x, clusters, AdaptConfig(mode="vd"), np.ones(3, bool))
     unweighted = ClusterSiteSet(clusters.clusters)
-    with pytest.raises(ValueError, match="cipd mode requires cluster weights"):
+    with pytest.raises(ValueError, match="cluster set has no weights"):
         batch_loss_and_grad(fe, x, unweighted, AdaptConfig(mode="cipd"), np.ones(4, bool))
 
 
@@ -485,3 +487,23 @@ def test_trace_csv_round_trip():
     lines = trace_csv_lines(trace)
     assert lines[0] == "batch_index,mode,batch_error,cum_error,mean_loss,kept_fraction"
     assert len(lines) == 4
+
+
+TRACE_READERS = {
+    "final_cum_error": RunTrace.final_cum_error,
+    "trace_csv_lines": trace_csv_lines,
+    "trace_summary": trace_summary,
+    "adaptation_curve": adaptation_curve,
+}
+
+
+@pytest.mark.parametrize("reader", TRACE_READERS.values(), ids=TRACE_READERS.keys())
+def test_trace_readers_share_one_scored_check(reader):
+    with pytest.raises(ValueError, match="^empty trace$"):
+        reader(RunTrace(mode="vd"))
+    rng, fe, clusters = random_setup(13)
+    stream = make_stream(rng, clusters, fe, n_batches=2)
+    trace = run_stream(fe, stream, clusters, AdaptConfig(mode="vd"))
+    with pytest.raises(ValueError, match="^trace has not been scored against labels$"):
+        reader(trace)
+    reader(score_trace(trace, stream))

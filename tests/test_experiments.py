@@ -224,6 +224,13 @@ def test_spec_rejects_adapt_fields_that_each_run_sets(adapt, message):
     assert str(info.value) == message
 
 
+def test_spec_rejects_a_stream_seed():
+    # run_grid replaces the stream's seed with each of the spec's seeds
+    with pytest.raises(ValueError) as info:
+        ExperimentSpec(stream=StreamConfig(seed=7))
+    assert str(info.value) == "stream.seed is set per run, got 7; set the spec's seeds"
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from voronoi_tta.filtering import filter_batch
 from voronoi_tta.geometry import (
-    CellPolygon2D,
     ClusterSiteSet,
     InfluenceConfig,
     LogisticHead,
@@ -339,20 +338,20 @@ def point_in_convex(poly, p, tol=1e-9):
 def test_cells_two_sites_bisector():
     p = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.zeros(2))
     cells = compute_cells_2d(p, (-1, 3, -1, 1))
-    for cell in cells:
-        assert isinstance(cell, CellPolygon2D)
-        xs = cell.vertices[:, 0]
-        if cell.cell_index == 0:
-            assert xs.max() == pytest.approx(1.0)
-        else:
-            assert xs.min() == pytest.approx(1.0)
+    assert len(cells) == 2
+    for vertices in cells:
+        assert isinstance(vertices, np.ndarray) and vertices.ndim == 2
+        assert vertices.shape[1] == 2 and len(vertices) >= 3
+    # cell order is site order: cell 0 lies left of the bisector x = 1
+    assert cells[0][:, 0].max() == pytest.approx(1.0)
+    assert cells[1][:, 0].min() == pytest.approx(1.0)
 
 
 def test_cells_weight_shifts_boundary():
     p = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.array([0.0, 2.0]))
     cells = compute_cells_2d(p, (-1, 3, -1, 1))
-    assert cells[0].vertices[:, 0].max() == pytest.approx(0.5)
-    assert cells[1].vertices[:, 0].min() == pytest.approx(0.5)
+    assert cells[0][:, 0].max() == pytest.approx(0.5)
+    assert cells[1][:, 0].min() == pytest.approx(0.5)
 
 
 def test_cells_membership_and_tiling():
@@ -365,22 +364,21 @@ def test_cells_membership_and_tiling():
     )
     assigned = assign(-pd_power(pts, p))
     for pt, k in zip(pts, assigned):
-        cell = cells[k]
-        assert len(cell.vertices) >= 3
-        assert point_in_convex(cell.vertices, pt, tol=1e-7)
+        assert len(cells[k]) >= 3
+        assert point_in_convex(cells[k], pt, tol=1e-7)
 
 
 def test_cells_interior_points_get_their_cell():
     rng = np.random.default_rng(17)
     p = ClusterSiteSet(rng.normal(size=(5, 1, 2)) * 2.0, rng.normal(size=5) * 0.4)
     bbox = (-5.0, 5.0, -5.0, 5.0)
-    for cell in compute_cells_2d(p, bbox):
-        if len(cell.vertices) < 3:
+    for k, vertices in enumerate(compute_cells_2d(p, bbox)):
+        if len(vertices) < 3:
             continue
         # random convex combinations of the vertices are interior points
-        w = rng.dirichlet(np.ones(len(cell.vertices)), size=50)
-        pts = w @ cell.vertices
-        assert np.all(assign(-pd_power(pts, p)) == cell.cell_index)
+        w = rng.dirichlet(np.ones(len(vertices)), size=50)
+        pts = w @ vertices
+        assert np.all(assign(-pd_power(pts, p)) == k)
 
 
 @pytest.mark.parametrize(
@@ -391,8 +389,8 @@ def test_cells_of_coincident_sites(weight_sq, winner):
     # equal weights: the lower index keeps the cell; else the larger weight wins
     p = ClusterSiteSet(np.array([[0.5, 0.0], [0.5, 0.0]])[:, None], np.array(weight_sq))
     cells = compute_cells_2d(p, (-1, 1, -1, 1))
-    assert len(cells[winner].vertices) == 4 and len(cells[1 - winner].vertices) == 0
-    corners = cells[winner].vertices * 0.99
+    assert len(cells[winner]) == 4 and len(cells[1 - winner]) == 0
+    corners = cells[winner] * 0.99
     assert np.all(assign(-pd_power(corners, p)) == winner)
 
 

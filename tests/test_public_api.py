@@ -7,7 +7,6 @@ PUBLIC = [
     "AdaptConfig",
     "Batch",
     "BatchRecord",
-    "CellPolygon2D",
     "ClusterSiteSet",
     "DistanceReport",
     "DivergenceError",

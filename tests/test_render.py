@@ -152,4 +152,4 @@ def test_polygon_cells_agree_with_pd_assign():
         return True
 
     for pt, k in zip(pts, labels):
-        assert point_in_convex(cells[k].vertices, pt, tol=1e-7)
+        assert point_in_convex(cells[k], pt, tol=1e-7)
