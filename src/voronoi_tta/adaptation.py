@@ -87,6 +87,8 @@ class AdaptConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        geometry._check_real("tau", self.tau)
+        geometry._check_real("learning_rate", self.learning_rate)
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):

@@ -20,6 +20,8 @@ from .adaptation import MODES, AdaptConfig, FeatureExtractor, RunTrace, forward,
 from .filtering import filter_batch
 from .geometry import (
     ClusterSiteSet,
+    _check_real,
+    _is_integer,
     assign,
     cipd_influences,
     civd_influences,
@@ -28,7 +30,6 @@ from .geometry import (
 from .metrics import score_trace
 from .streams import (
     StreamConfig,
-    _is_integer,
     expand_cluster_sites,
     fit_power_weights,
     gen_source,
@@ -84,6 +85,7 @@ class ExperimentSpec:
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
+        _check_real("site_fraction", self.site_fraction)
         if not 0 < self.site_fraction <= 1:
             raise ValueError(f"site_fraction must be in (0, 1], got {self.site_fraction!r}")
         if not (_is_integer(self.render_grid) and self.render_grid >= 8):

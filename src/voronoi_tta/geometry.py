@@ -24,6 +24,7 @@ times the score kernels by name, so they stay separate functions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,16 @@ Array = np.ndarray
 
 # Geometric comparisons in compute_cells_2d use this absolute slack.
 _CLIP_EPS = 1e-12
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_real(name: str, value):
+    """A float config field takes any real number but a bool, which would run as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_points(z, dim: int) -> Array:
@@ -120,6 +131,8 @@ class InfluenceConfig:
     distance_floor: float = 1e-8
 
     def __post_init__(self):
+        _check_real("gamma", self.gamma)
+        _check_real("distance_floor", self.distance_floor)
         if not (math.isfinite(self.gamma) and self.gamma != 0):
             raise ValueError(f"gamma must be finite and nonzero, got {self.gamma!r}")
         if not (math.isfinite(self.distance_floor) and self.distance_floor > 0):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import DivergenceError, FeatureExtractor, forward
-from .geometry import ClusterSiteSet, LogisticHead, logistic_to_power
+from .geometry import ClusterSiteSet, LogisticHead, _check_real, _is_integer, logistic_to_power
 
 Array = np.ndarray
 
@@ -40,10 +40,6 @@ _TAG_SUBSAMPLE = 16
 # common component that the trainable shift can absorb, while the per-class
 # geometry stays uncorrectable; both regimes matter at test time.
 _CENTROID_NORM_FACTOR = 1.8
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -88,10 +84,13 @@ class StreamConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         alpha = self.label_shift_alpha
-        if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
-            raise ValueError(f"label_shift_alpha must be finite and positive, got {alpha!r}")
+        if alpha is not None:
+            _check_real("label_shift_alpha", alpha)
+            if not (math.isfinite(alpha) and alpha > 0):
+                raise ValueError(f"label_shift_alpha must be finite and positive, got {alpha!r}")
         for name in ("class_mean_scale", "class_cov_scale"):
             value = getattr(self, name)
+            _check_real(name, value)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 

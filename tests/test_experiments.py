@@ -21,7 +21,7 @@ from voronoi_tta.experiments import (
     run_grid,
     sweep_rows,
 )
-from voronoi_tta.geometry import ClusterSiteSet
+from voronoi_tta.geometry import ClusterSiteSet, InfluenceConfig
 from voronoi_tta.streams import (
     StreamConfig,
     feature_views,
@@ -229,6 +229,29 @@ def test_spec_rejects_a_stream_seed():
     with pytest.raises(ValueError) as info:
         ExperimentSpec(stream=StreamConfig(seed=7))
     assert str(info.value) == "stream.seed is set per run, got 7; set the spec's seeds"
+
+
+# Every float config field, with the config that holds it.
+REAL_FIELDS = {
+    "site_fraction": ExperimentSpec,
+    "tau": AdaptConfig,
+    "learning_rate": AdaptConfig,
+    "gamma": InfluenceConfig,
+    "distance_floor": InfluenceConfig,
+    "class_mean_scale": StreamConfig,
+    "class_cov_scale": StreamConfig,
+    "label_shift_alpha": StreamConfig,
+}
+
+
+@pytest.mark.parametrize("name, config", REAL_FIELDS.items(), ids=REAL_FIELDS.keys())
+def test_float_fields_reject_bools(name, config):
+    # bool is an int subclass, so True would otherwise run as 1
+    with pytest.raises(ValueError) as info:
+        config(**{name: True})
+    assert str(info.value) == f"{name} must be a real number, got True"
+    config(**{name: 1})  # integers and numpy floats still pass
+    config(**{name: np.float64(0.5)})
 
 
 @pytest.mark.parametrize(
