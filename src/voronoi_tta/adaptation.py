@@ -11,8 +11,9 @@ before the batch is adapted on.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +32,10 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FeatureExtractor:
-    """Frozen linear map plus trainable per-dimension scale and shift."""
+    """Frozen linear map plus trainable per-dimension scale and shift.
+
+    The constructor keeps private, checked, read-only copies of all three.
+    ``adapt_step`` builds the next extractor around the same frozen map."""
 
     frozen_map: Array  # (feature_dim, raw_dim), never mutated
     scale: Array  # (feature_dim,)
@@ -87,6 +91,8 @@ class AdaptConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.filtering, bool):
+            raise ValueError(f"filtering must be True or False, got {self.filtering!r}")
         geometry._check_real("tau", self.tau)
         geometry._check_real("learning_rate", self.learning_rate)
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -137,7 +143,10 @@ def forward(fe: FeatureExtractor, x) -> Array:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != fe.raw_dim:
         raise ValueError(f"expected raw dimension {fe.raw_dim}, got {x.shape[-1]}")
-    return x @ fe.frozen_map.T * fe.scale + fe.shift
+    z = x @ fe.frozen_map.T
+    z *= fe.scale
+    z += fe.shift
+    return z
 
 
 def soft_label_from_scores(scores, tau: float, epsilon: float = 0.0) -> Array:
@@ -153,9 +162,10 @@ def soft_label_from_scores(scores, tau: float, epsilon: float = 0.0) -> Array:
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     q = scores / tau
-    q = q - q.max(axis=-1, keepdims=True)
-    e = np.exp(q)
-    return e / e.sum(axis=-1, keepdims=True)
+    q -= q.max(axis=-1, keepdims=True)
+    np.exp(q, out=q)
+    q /= q.sum(axis=-1, keepdims=True)
+    return q
 
 
 def vd_loss(probs) -> float | Array:
@@ -184,15 +194,24 @@ def mode_scores(features, c: ClusterSiteSet, cfg: AdaptConfig) -> Array:
 
 def _entropy_and_score_grad(scores: Array, tau: float) -> tuple[Array, Array]:
     """Per-sample entropy H and dH/dscores for rows of scores."""
-    q = scores / tau
-    q = q - q.max(axis=-1, keepdims=True)
-    logp = q - np.log(np.exp(q).sum(axis=-1, keepdims=True))
+    logp = scores / tau
+    logp -= logp.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
     p = np.exp(logp)
     # logp is finite wherever the scores are, so p = 0 terms are exact zeros
     # and non-finite scores stay visible in h.
     h = -(p * logp).sum(axis=-1)
-    g = -p * (logp + h[:, None]) / tau
+    # -p * (logp + h) / tau, bit for bit: negation commutes with rounding.
+    g = logp + h[:, None]
+    g *= p
+    g /= -tau
     return h, g
+
+
+@functools.cache
+def _unit_gamma(distance_floor: float) -> InfluenceConfig:
+    """VD's gradient aggregate, gamma 1 at the run's floor; built once per floor."""
+    return InfluenceConfig(gamma=1.0, distance_floor=distance_floor)
 
 
 def batch_loss_and_grad(
@@ -216,12 +235,13 @@ def batch_loss_and_grad(
     # VD is the identity slice at gamma = 1; cipd alone reads the weights.
     mu = c.clusters[:, :1] if cfg.mode == "vd" else c.clusters  # (K, A, ell)
     weight_sq = geometry._weights(c) if cfg.mode == "cipd" else None
-    influence = replace(cfg.influence, gamma=1.0) if cfg.mode == "vd" else cfg.influence
+    influence = _unit_gamma(cfg.influence.distance_floor) if cfg.mode == "vd" else cfg.influence
     floor, gamma = influence.distance_floor, influence.gamma
 
     x = inputs[keep]
     u = x @ fe.frozen_map.T
-    z = u * fe.scale + fe.shift
+    z = u * fe.scale
+    z += fe.shift
     terms = geometry.site_terms(geometry.squared_distances(z, mu), weight_sq)
     h, g = _entropy_and_score_grad(geometry.aggregate_influence(terms, influence), cfg.tau)
     active = terms > floor
@@ -230,12 +250,16 @@ def batch_loss_and_grad(
     inner = 2.0 if weight_sq is not None else 1.0 / clamped
     # dF/dterm_a = -sign(gamma) * gamma * clamped^(gamma-1), that is
     # -|gamma| * clamped^(gamma-1), on active terms
-    w = np.where(active, -abs(gamma) * clamped ** (gamma - 1.0) * inner, 0.0)
-    w = (w * g[:, :, None]).reshape(len(z), -1)  # (n, K * A)
+    w = clamped ** (gamma - 1.0)
+    w *= -abs(gamma)
+    w *= inner
+    np.copyto(w, 0.0, where=~active)
+    w *= g[:, :, None]
+    w = w.reshape(len(z), -1)  # (n, K * A)
     grad_z = z * w.sum(axis=1)[:, None] - w @ mu.reshape(-1, ell)
 
     n_kept = x.shape[0]
-    loss = float(h.mean())
+    loss = float(h.sum() / n_kept)
     grad_shift = grad_z.sum(axis=0) / n_kept
     grad_scale = (grad_z * u).sum(axis=0) / n_kept
     return loss, grad_scale, grad_shift
@@ -249,7 +273,17 @@ def adapt_step(fe: FeatureExtractor, grad_scale, grad_shift, learning_rate: floa
     shift = fe.shift - learning_rate * np.asarray(grad_shift, dtype=float)
     if not (np.isfinite(scale).all() and np.isfinite(shift).all()):
         raise DivergenceError("non-finite gradient step")
-    return replace(fe, scale=scale, shift=shift)
+    if scale.shape != fe.scale.shape or shift.shape != fe.shift.shape:
+        raise ValueError("scale and shift must match the feature dimension")
+    # fe.frozen_map is already a private, checked, read-only copy, so the next
+    # extractor shares it; the public constructor copies and checks again.
+    scale.setflags(write=False)
+    shift.setflags(write=False)
+    stepped = object.__new__(FeatureExtractor)
+    object.__setattr__(stepped, "frozen_map", fe.frozen_map)
+    object.__setattr__(stepped, "scale", scale)
+    object.__setattr__(stepped, "shift", shift)
+    return stepped
 
 
 def run_stream(fe: FeatureExtractor, stream, c: ClusterSiteSet, cfg: AdaptConfig) -> RunTrace:

@@ -85,6 +85,8 @@ class ExperimentSpec:
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
+        if not (self.filtering is None or isinstance(self.filtering, bool)):
+            raise ValueError(f"filtering must be None, True or False, got {self.filtering!r}")
         _check_real("site_fraction", self.site_fraction)
         if not 0 < self.site_fraction <= 1:
             raise ValueError(f"site_fraction must be in (0, 1], got {self.site_fraction!r}")
@@ -148,7 +150,7 @@ def run_single(
 ) -> RunTrace:
     """One scored online run of a prepared seed under the given mode; the
     filter option None filters in cipd mode only."""
-    filtering = mode == "cipd" if filtering is None else bool(filtering)
+    filtering = mode == "cipd" if filtering is None else filtering
     cfg = replace(adapt_cfg, mode=mode, filtering=filtering)
     trace = run_stream(prepared.extractor, prepared.stream, prepared.clusters, cfg)
     return score_trace(trace, prepared.stream)

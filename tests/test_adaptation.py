@@ -327,11 +327,42 @@ def test_adapt_step_moves_parameters():
 
 
 def test_adapt_step_rejects_bad_gradients():
-    fe = FeatureExtractor(np.eye(2), np.ones(2), np.zeros(2))
+    fe = FeatureExtractor(np.eye(3), np.ones(3), np.zeros(3))
+    with pytest.raises(DivergenceError) as info:
+        adapt_step(fe, np.array([np.nan, 0.0, 0.0]), np.zeros(3), 0.1)
+    assert str(info.value) == "non-finite gradient step"
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+        adapt_step(fe, np.zeros(3), np.full(3, 1e308), 1e300)
+    assert str(info.value) == "non-finite gradient step"
+    # a (2, 3) gradient broadcasts against the (3,) parameters
+    for grads in ((np.zeros((2, 3)), np.zeros(3)), (np.zeros(3), np.zeros((2, 3)))):
+        with pytest.raises(ValueError) as info:
+            adapt_step(fe, *grads, 0.1)
+        assert str(info.value) == "scale and shift must match the feature dimension"
+    # the finite check comes before the shape check
     with pytest.raises(DivergenceError):
-        adapt_step(fe, np.array([np.nan, 0.0]), np.zeros(2), 0.1)
-    with pytest.raises(ValueError):
-        adapt_step(fe, np.zeros(2), np.zeros(2), 0.0)
+        adapt_step(fe, np.full((2, 3), np.inf), np.zeros(3), 0.1)
+    with pytest.raises(ValueError) as info:
+        adapt_step(fe, np.zeros(3), np.zeros(3), 0.0)
+    assert str(info.value) == "learning_rate must be positive"
+
+
+def test_adapt_step_shares_the_checked_map():
+    # the map is already a private, checked, read-only copy, so the stepped
+    # extractor holds the same array; the public constructor still copies
+    rng = np.random.default_rng(3)
+    fe = FeatureExtractor(rng.normal(size=(3, 5)), np.ones(3), np.zeros(3))
+    stepped = adapt_step(fe, rng.normal(size=3), rng.normal(size=3), 0.1)
+    assert type(stepped) is FeatureExtractor
+    assert stepped.frozen_map is fe.frozen_map
+    for arr in (stepped.scale, stepped.shift):
+        assert arr.dtype == np.float64 and arr.shape == (3,)
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    rebuilt = FeatureExtractor(stepped.frozen_map, stepped.scale, stepped.shift)
+    assert rebuilt.frozen_map is not fe.frozen_map
+    assert np.array_equal(rebuilt.scale, stepped.scale)
+    assert np.array_equal(rebuilt.shift, stepped.shift)
 
 
 # --- run_stream ---
@@ -421,6 +452,35 @@ def test_distance_tables_per_batch(monkeypatch, mode, filtering):
     # an empty keep mask would skip the gradient's table
     assert all(r.keep_mask.any() for r in trace.records)
     assert np.diff(marks).tolist() == [3 if filtering else 2] * 5
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("filtering", [False, True])
+def test_no_extractor_or_influence_config_built_per_batch(monkeypatch, mode, filtering):
+    # adapt_step shares the checked frozen map, and vd's gamma = 1 aggregate
+    # is built once per distance floor and process (the first run builds it),
+    # so no batch reruns either constructor's checks
+    rng, fe, clusters = random_setup(12)
+    cfg = AdaptConfig(mode=mode, filtering=filtering)
+    run_stream(fe, make_stream(rng, clusters, fe, n_batches=1), clusters, cfg)
+    builds = []
+    for cls in (FeatureExtractor, InfluenceConfig):
+        def counted(self, real=cls.__post_init__):
+            builds.append(type(self).__name__)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    marks = []
+
+    def stream():
+        for batch in make_stream(rng, clusters, fe, n_batches=5):
+            marks.append(len(builds))
+            yield batch
+
+    trace = run_stream(fe, stream(), clusters, cfg)
+    marks.append(len(builds))
+    assert len(trace.records) == 5
+    assert np.diff(marks).tolist() == [0] * 5, builds
 
 
 def test_online_causality():

@@ -19,6 +19,7 @@ from voronoi_tta.experiments import (
     _prepare_source,
     prepare_run,
     run_grid,
+    run_single,
     sweep_rows,
 )
 from voronoi_tta.geometry import ClusterSiteSet, InfluenceConfig
@@ -267,3 +268,26 @@ def test_spec_rejects_non_integer_seeds_and_render_grid(field, value, message):
     with pytest.raises(ValueError) as info:
         ExperimentSpec(**{field: value})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "config, value, message",
+    [
+        (ExperimentSpec, "false", "filtering must be None, True or False, got 'false'"),
+        (ExperimentSpec, 0, "filtering must be None, True or False, got 0"),
+        (AdaptConfig, "no", "filtering must be True or False, got 'no'"),
+        (AdaptConfig, 1, "filtering must be True or False, got 1"),
+        (AdaptConfig, None, "filtering must be True or False, got None"),
+    ],
+)
+def test_filtering_takes_only_a_bool(config, value, message):
+    # a truthy string would otherwise run every mode filtered
+    with pytest.raises(ValueError) as info:
+        config(filtering=value)
+    assert str(info.value) == message
+
+
+def test_run_single_passes_its_filtering_to_the_config_check():
+    with pytest.raises(ValueError) as info:
+        run_single(prepare_run(SMALL, 0), AdaptConfig(), "vd", "false")
+    assert str(info.value) == "filtering must be True or False, got 'false'"
