@@ -75,8 +75,11 @@ def score_trace(trace: RunTrace, stream) -> RunTrace:
         labels = np.asarray(batch.hidden_labels)
         if labels.shape != record.predictions.shape:
             raise ValueError("label/prediction length mismatch")
-        record.batch_error = error_rate(record.predictions, labels)
-        wrong += int(np.sum(record.predictions != labels))
+        if labels.size == 0:
+            raise ValueError("predictions and labels must be equal-length and nonempty")
+        n_wrong = int(np.count_nonzero(record.predictions != labels))
+        record.batch_error = n_wrong / labels.size  # error_rate's value, bit for bit
+        wrong += n_wrong
         seen += labels.size
         record.cum_error = wrong / seen
     return trace

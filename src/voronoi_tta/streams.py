@@ -5,9 +5,11 @@ coordinate pairs so that the views in ``VIEW_ANGLES`` are exact planar
 rotations applied pairwise; view 0 is the identity. Test streams draw
 per-batch class proportions from a Dirichlet distribution when label shift is
 requested, corrupt the inputs (never the training data used for site
-estimation), and expose the ground-truth labels only for scoring. The views
-and the logistic fit that defines the power weights are module constants, not
-options.
+estimation), and expose the ground-truth labels only for scoring. A stream's
+random draws run batch by batch in a fixed order; its arithmetic runs on one
+(n_batches, batch_size, raw_dim) block, of which every batch is a view. The
+source set is drawn class by class into one array. The views and the logistic
+fit that defines the power weights are module constants, not options.
 """
 
 from __future__ import annotations
@@ -115,14 +117,17 @@ class Batch:
 _QUARTER_TURNS = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, 0.0), 270.0: (0.0, -1.0)}
 
 
-def _rotate_pairs(x: Array, angle_deg: float) -> Array:
+def _rotate_pairs(x: Array, angle_deg: float, out: Array | None = None) -> Array:
+    """x with each (x, y) coordinate pair rotated by angle_deg, written into
+    out when given; out must be C-contiguous and may be x itself."""
     if x.shape[-1] % 2 != 0:
         raise ValueError("inputs must have an even number of coordinates")
     t = np.deg2rad(angle_deg)
     ct, st = _QUARTER_TURNS.get(angle_deg % 360.0, (np.cos(t), np.sin(t)))
     pairs = x.reshape(x.shape[:-1] + (-1, 2))
     a, b = pairs[..., 0], pairs[..., 1]
-    return np.stack([ct * a - st * b, st * a + ct * b], axis=-1).reshape(x.shape)
+    rotated = None if out is None else out.reshape(pairs.shape)
+    return np.stack([ct * a - st * b, st * a + ct * b], axis=-1, out=rotated).reshape(x.shape)
 
 
 def class_means(cfg: StreamConfig) -> Array:
@@ -139,16 +144,20 @@ def class_means(cfg: StreamConfig) -> Array:
 
 
 def gen_source(cfg: StreamConfig) -> tuple[Array, Array]:
-    """Labeled clean training set: per class, isotropic Gaussian samples."""
+    """Labeled clean training set: per class, isotropic Gaussian samples.
+
+    Each class's standard normal draws z go straight into its rows, which are
+    then scaled and shifted in place: mean + s * z is bit for bit
+    mean + rng.normal(0, s), which draws 0 + s * z, since no class mean is -0.0."""
     means = class_means(cfg)
     rng = np.random.default_rng([cfg.seed, _TAG_SOURCE])
-    n = cfg.n_train_per_class
-    xs = []
+    x = np.empty((cfg.n_classes, cfg.n_train_per_class, cfg.raw_dim))
     for k in range(cfg.n_classes):
-        xs.append(means[k] + rng.normal(0.0, cfg.class_cov_scale, size=(n, cfg.raw_dim)))
-    x = np.concatenate(xs, axis=0)
-    y = np.repeat(np.arange(cfg.n_classes), n)
-    return x, y
+        rng.standard_normal(out=x[k])
+        x[k] *= cfg.class_cov_scale
+        x[k] += means[k]
+    y = np.repeat(np.arange(cfg.n_classes), cfg.n_train_per_class)
+    return x.reshape(-1, cfg.raw_dim), y
 
 
 def _corruption_params(cfg: StreamConfig) -> dict:
@@ -165,43 +174,50 @@ def _corruption_params(cfg: StreamConfig) -> dict:
     }
 
 
-def corrupt(x: Array, cfg: StreamConfig, params: dict, rng: np.random.Generator) -> Array:
-    if cfg.corruption == "none":
-        return x
-    if cfg.corruption == "gaussian_noise":
-        return x + rng.normal(0.0, params["noise_std"], size=x.shape)
-    if cfg.corruption == "scale_drift":
-        return x * params["scale_factor"]
-    if cfg.corruption == "rotation_drift":
-        return _rotate_pairs(x, params["rotation_deg"])
-    return x + params["shift_offset"]
+# Rows rotated per pass by rotation_drift: the pass's temporaries stay a few
+# percent of a 400 x 64 stream.
+_ROTATION_CHUNK_ROWS = 512
 
 
 def gen_stream(cfg: StreamConfig) -> list[Batch]:
     """Corrupted online batches; deterministic given the config seed.
 
     With ``label_shift_alpha`` set, every batch draws fresh class proportions
-    from Dirichlet(alpha * 1_K); otherwise proportions are uniform.
+    from Dirichlet(alpha * 1_K); otherwise proportions are uniform. The draws
+    run per batch in a fixed order (proportions, counts, noise, shuffle, then
+    gaussian_noise's noise), and each batch is written straight into one
+    (n_batches, batch_size, raw_dim) block, shuffled as it is written. The
+    deterministic corruptions then run once over the whole block, and each
+    batch is a view of its rows.
     """
     means = class_means(cfg)
     params = _corruption_params(cfg)
     rng = np.random.default_rng([cfg.seed, _TAG_STREAM])
-    batches = []
-    for _ in range(cfg.n_batches):
-        if cfg.label_shift_alpha is not None:
-            p = rng.dirichlet(np.full(cfg.n_classes, cfg.label_shift_alpha))
-        else:
-            p = np.full(cfg.n_classes, 1.0 / cfg.n_classes)
-        counts = rng.multinomial(cfg.batch_size, p)
-        labels = np.repeat(np.arange(cfg.n_classes), counts)
-        clean = means[labels] + rng.normal(
-            0.0, cfg.class_cov_scale, size=(cfg.batch_size, cfg.raw_dim)
-        )
+    x = np.empty((cfg.n_batches, cfg.batch_size, cfg.raw_dim))
+    y = np.empty((cfg.n_batches, cfg.batch_size), dtype=int)
+    classes = np.arange(cfg.n_classes)
+    p = np.full(cfg.n_classes, 1.0 / cfg.n_classes)
+    alpha = None if cfg.label_shift_alpha is None else np.full(cfg.n_classes, cfg.label_shift_alpha)
+    for xt, yt in zip(x, y):
+        if alpha is not None:
+            p = rng.dirichlet(alpha)
+        labels = np.repeat(classes, rng.multinomial(cfg.batch_size, p))
+        noise = rng.normal(0.0, cfg.class_cov_scale, size=xt.shape)
         order = rng.permutation(cfg.batch_size)
-        labels = labels[order]
-        clean = clean[order]
-        batches.append(Batch(inputs=corrupt(clean, cfg, params, rng), hidden_labels=labels))
-    return batches
+        np.take(labels, order, out=yt)
+        np.add(means[yt], noise[order], out=xt)  # (means[labels] + noise)[order], bit for bit
+        if cfg.corruption == "gaussian_noise":
+            xt += rng.normal(0.0, params["noise_std"], size=xt.shape)
+    if cfg.corruption == "scale_drift":
+        x *= params["scale_factor"]
+    elif cfg.corruption == "shift_drift":
+        x += params["shift_offset"]
+    elif cfg.corruption == "rotation_drift":
+        rows = x.reshape(-1, cfg.raw_dim)
+        for start in range(0, len(rows), _ROTATION_CHUNK_ROWS):
+            chunk = rows[start:start + _ROTATION_CHUNK_ROWS]
+            _rotate_pairs(chunk, params["rotation_deg"], out=chunk)
+    return [Batch(inputs=xt, hidden_labels=yt) for xt, yt in zip(x, y)]
 
 
 # ---------------------------------------------------------------------------

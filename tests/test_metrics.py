@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voronoi_tta.adaptation import AdaptConfig, FeatureExtractor, run_stream
+from voronoi_tta.adaptation import AdaptConfig, BatchRecord, FeatureExtractor, RunTrace, run_stream
 from voronoi_tta.geometry import ClusterSiteSet, InfluenceConfig, civd_influences
 from voronoi_tta.metrics import (
     adaptation_curve,
@@ -144,6 +146,28 @@ def test_score_trace_and_curve_recomputation():
             np.mean(record.predictions != batch.hidden_labels)
         )
     assert curve[-1][1] == pytest.approx(trace.final_cum_error())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+       n_classes=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_score_trace_batch_error_is_error_rate_bit_for_bit(sizes, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    records, stream = [], []
+    for n in sizes:
+        predictions = rng.integers(0, n_classes, n)
+        records.append(BatchRecord(predictions, np.ones(n), np.ones(n, dtype=bool), 0.0))
+        stream.append(Batch(inputs=np.zeros((n, 2)), hidden_labels=rng.integers(0, n_classes, n)))
+    score_trace(RunTrace("vd", records), stream)
+    for record, batch in zip(records, stream):
+        assert record.batch_error.hex() == error_rate(record.predictions, batch.hidden_labels).hex()
+
+
+def test_score_trace_rejects_an_empty_batch():
+    record = BatchRecord(np.zeros(0, dtype=int), np.ones(0), np.ones(0, dtype=bool), 0.0)
+    empty = Batch(inputs=np.zeros((0, 2)), hidden_labels=np.zeros(0, dtype=int))
+    with pytest.raises(ValueError, match="nonempty"):
+        score_trace(RunTrace("vd", [record]), [empty])
 
 
 def test_curve_constant_error_is_flat():
