@@ -125,13 +125,15 @@ def _prepare_source(
     source_cfg: StreamConfig, site_fraction: float
 ) -> tuple[FeatureExtractor, ClusterSiteSet]:
     """Extractor and weighted cluster sites of one source; both immutable,
-    so every caller may share them."""
-    x, y = gen_source(source_cfg)
-    xs, ys = subsample_per_class(x, y, site_fraction, source_cfg.seed)
+    so every caller may share them. The raw source is dropped before the
+    head fit, so that the fit's temporaries do not stack on top of it."""
+    x, y = subsample_per_class(*gen_source(source_cfg), site_fraction, source_cfg.seed)
     fe = FeatureExtractor.seeded(source_cfg.raw_dim, source_cfg.feature_dim, source_cfg.seed)
     k = source_cfg.n_classes
-    weight_sq = fit_power_weights(forward(fe, xs), ys, k)  # checks every class is present
-    return fe, expand_cluster_sites(fe, xs, ys, k).with_weights(weight_sq)
+    sites = expand_cluster_sites(fe, x, y, k)  # checks every class is present
+    features = forward(fe, x)
+    del x
+    return fe, sites.with_weights(fit_power_weights(features, y, k))
 
 
 def prepare_run(stream_cfg: StreamConfig, seed: int, site_fraction: float = 1.0) -> PreparedRun:

@@ -5,17 +5,20 @@ coordinate pairs so that the views in ``VIEW_ANGLES`` are exact planar
 rotations applied pairwise; view 0 is the identity. Test streams draw
 per-batch class proportions from a Dirichlet distribution when label shift is
 requested, corrupt the inputs (never the training data used for site
-estimation), and expose the ground-truth labels only for scoring. A stream's
-random draws run batch by batch in a fixed order; its arithmetic runs on one
-(n_batches, batch_size, raw_dim) block, of which every batch is a view. The
-source set is drawn class by class into one array. The views and the logistic
-fit that defines the power weights are module constants, not options.
+estimation), and expose the ground-truth labels only for scoring. A stream is
+one (n_batches, batch_size, raw_dim) block, of which every batch is a view:
+its random draws run batch by batch in a fixed order, and its arithmetic runs
+in passes over chunks of whole batches. A seed's class means and shift
+direction are drawn once per process and shared read-only. The source set is
+drawn class by class into one array. The views and the logistic fit that
+defines the power weights are module constants, not options.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,17 +133,25 @@ def _rotate_pairs(x: Array, angle_deg: float, out: Array | None = None) -> Array
     return np.stack([ct * a - st * b, st * a + ct * b], axis=-1, out=rotated).reshape(x.shape)
 
 
+# Each seed's class means and shift direction are drawn once per process and
+# shared read-only, keyed on the config fields they read.
+_CONSTANTS_CACHE_SIZE = 32
+
+
 def class_means(cfg: StreamConfig) -> Array:
-    """(K, m) class centers around a shared centroid, drawn once per seed."""
-    rng = np.random.default_rng([cfg.seed, _TAG_MEANS])
-    centroid = rng.normal(size=cfg.raw_dim)
-    centroid *= (
-        _CENTROID_NORM_FACTOR
-        * cfg.class_mean_scale
-        * np.sqrt(cfg.raw_dim)
-        / np.linalg.norm(centroid)
-    )
-    return centroid + rng.normal(0.0, cfg.class_mean_scale, size=(cfg.n_classes, cfg.raw_dim))
+    """(K, m) class centers around a shared centroid, drawn once per seed and
+    process; the array is shared, so it is read-only."""
+    return _class_means(cfg.seed, cfg.n_classes, cfg.raw_dim, cfg.class_mean_scale)
+
+
+@lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
+def _class_means(seed: int, n_classes: int, raw_dim: int, scale: float) -> Array:
+    rng = np.random.default_rng([seed, _TAG_MEANS])
+    centroid = rng.normal(size=raw_dim)
+    centroid *= _CENTROID_NORM_FACTOR * scale * np.sqrt(raw_dim) / np.linalg.norm(centroid)
+    means = centroid + rng.normal(0.0, scale, size=(n_classes, raw_dim))
+    means.flags.writeable = False
+    return means
 
 
 def gen_source(cfg: StreamConfig) -> tuple[Array, Array]:
@@ -162,62 +173,95 @@ def gen_source(cfg: StreamConfig) -> tuple[Array, Array]:
 
 def _corruption_params(cfg: StreamConfig) -> dict:
     """Severity-scaled transform parameters, fixed for the whole stream."""
-    rng = np.random.default_rng([cfg.seed, _TAG_CORRUPTION])
     s = cfg.severity
-    direction = rng.normal(size=cfg.raw_dim)
-    direction /= np.linalg.norm(direction)
     return {
         "noise_std": 0.5 * s * cfg.class_cov_scale,
         "scale_factor": 1.0 + 0.15 * s,
         "rotation_deg": 20.0 * s,
-        "shift_offset": direction * (0.5 * s * cfg.class_mean_scale * np.sqrt(cfg.raw_dim)),
+        "shift_offset": _shift_direction(cfg.seed, cfg.raw_dim)
+        * (0.5 * s * cfg.class_mean_scale * np.sqrt(cfg.raw_dim)),
     }
 
 
-# Rows rotated per pass by rotation_drift: the pass's temporaries stay a few
-# percent of a 400 x 64 stream.
-_ROTATION_CHUNK_ROWS = 512
+@lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
+def _shift_direction(seed: int, raw_dim: int) -> Array:
+    """Unit direction of shift_drift's offset, drawn once per seed and process."""
+    rng = np.random.default_rng([seed, _TAG_CORRUPTION])
+    direction = rng.normal(size=raw_dim)
+    direction /= np.linalg.norm(direction)
+    direction.flags.writeable = False
+    return direction
+
+
+# Rows built per arithmetic pass of gen_stream, rounded down to whole batches
+# (at least one): the pass's temporaries stay a few percent of a 400 x 64 stream.
+_STREAM_CHUNK_ROWS = 512
 
 
 def gen_stream(cfg: StreamConfig) -> list[Batch]:
     """Corrupted online batches; deterministic given the config seed.
 
     With ``label_shift_alpha`` set, every batch draws fresh class proportions
-    from Dirichlet(alpha * 1_K); otherwise proportions are uniform. The draws
-    run per batch in a fixed order (proportions, counts, noise, shuffle, then
-    gaussian_noise's noise), and each batch is written straight into one
-    (n_batches, batch_size, raw_dim) block, shuffled as it is written. The
-    deterministic corruptions then run once over the whole block, and each
-    batch is a view of its rows.
+    from Dirichlet(alpha * 1_K); otherwise proportions are uniform. The stream
+    is one (n_batches, batch_size, raw_dim) block, built in chunks of whole
+    batches (at most ``_STREAM_CHUNK_ROWS`` rows unless one batch is longer).
+    Per chunk, a loop makes only the random draws, batch by batch in a fixed
+    order: proportions, class counts, the standard normal noise (into the
+    batch's rows of the block), the shuffle, then gaussian_noise's noise. One
+    pass per chunk then builds the labels from the counts, gathers labels and
+    noise by the shuffle, scales the noise, adds the class means and applies
+    the corruption. Each batch is a view of its rows of the block.
     """
     means = class_means(cfg)
     params = _corruption_params(cfg)
     rng = np.random.default_rng([cfg.seed, _TAG_STREAM])
     x = np.empty((cfg.n_batches, cfg.batch_size, cfg.raw_dim))
     y = np.empty((cfg.n_batches, cfg.batch_size), dtype=int)
-    classes = np.arange(cfg.n_classes)
-    p = np.full(cfg.n_classes, 1.0 / cfg.n_classes)
-    alpha = None if cfg.label_shift_alpha is None else np.full(cfg.n_classes, cfg.label_shift_alpha)
-    for xt, yt in zip(x, y):
+    step = max(1, _STREAM_CHUNK_ROWS // cfg.batch_size)
+    for start in range(0, cfg.n_batches, step):
+        _fill_batches(cfg, rng, means, params, x[start:start + step], y[start:start + step])
+    return [Batch(inputs=xt, hidden_labels=yt) for xt, yt in zip(x, y)]
+
+
+def _fill_batches(
+    cfg: StreamConfig, rng: np.random.Generator, means: Array, params: dict, x: Array, y: Array
+):
+    """Fill the consecutive batches x (b, n, m) and y (b, n) of a stream:
+    their draws in stream order, then their arithmetic over the whole block."""
+    b, n, m = x.shape
+    k = cfg.n_classes
+    p = np.full(k, 1.0 / k)
+    alpha = None if cfg.label_shift_alpha is None else np.full(k, cfg.label_shift_alpha)
+    counts = np.empty((b, k), dtype=int)
+    order = np.empty((b, n), dtype=int)
+    order[:] = np.arange(n)
+    extra = np.empty_like(x) if cfg.corruption == "gaussian_noise" else None
+    for t in range(b):
         if alpha is not None:
             p = rng.dirichlet(alpha)
-        labels = np.repeat(classes, rng.multinomial(cfg.batch_size, p))
-        noise = rng.normal(0.0, cfg.class_cov_scale, size=xt.shape)
-        order = rng.permutation(cfg.batch_size)
-        np.take(labels, order, out=yt)
-        np.add(means[yt], noise[order], out=xt)  # (means[labels] + noise)[order], bit for bit
-        if cfg.corruption == "gaussian_noise":
-            xt += rng.normal(0.0, params["noise_std"], size=xt.shape)
-    if cfg.corruption == "scale_drift":
+        counts[t] = rng.multinomial(n, p)
+        rng.standard_normal(out=x[t])
+        rng.shuffle(order[t])  # rng.permutation(n), in place
+        if extra is not None:
+            rng.standard_normal(out=extra[t])
+    order += np.arange(0, b * n, n)[:, None]  # batch positions -> block rows
+    np.take(np.repeat(np.tile(np.arange(k), b), counts.ravel()), order, out=y)
+    rows = x.reshape(-1, m)
+    noise = np.take(rows, order.ravel(), axis=0)
+    noise *= cfg.class_cov_scale
+    np.take(means, y.ravel(), axis=0, out=rows)
+    # (means[labels] + rng.normal(0, s))[order], bit for bit: normal draws
+    # 0 + s * z, and no class mean (hence no clean input) is -0.0.
+    rows += noise
+    if extra is not None:
+        extra *= params["noise_std"]
+        x += extra
+    elif cfg.corruption == "scale_drift":
         x *= params["scale_factor"]
     elif cfg.corruption == "shift_drift":
         x += params["shift_offset"]
     elif cfg.corruption == "rotation_drift":
-        rows = x.reshape(-1, cfg.raw_dim)
-        for start in range(0, len(rows), _ROTATION_CHUNK_ROWS):
-            chunk = rows[start:start + _ROTATION_CHUNK_ROWS]
-            _rotate_pairs(chunk, params["rotation_deg"], out=chunk)
-    return [Batch(inputs=xt, hidden_labels=yt) for xt, yt in zip(x, y)]
+        _rotate_pairs(rows, params["rotation_deg"], out=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +270,11 @@ def gen_stream(cfg: StreamConfig) -> list[Batch]:
 
 
 def _check_classes(y: Array, n_classes: int):
-    present = np.unique(y)
-    missing = sorted(set(range(n_classes)) - set(present.tolist()))
+    """Raise unless every class 0..n_classes-1 labels some sample; labels
+    outside that range are ignored."""
+    seen = np.zeros(n_classes, dtype=bool)
+    seen[y[(y >= 0) & (y < n_classes)]] = True
+    missing = np.flatnonzero(~seen).tolist()
     if missing:
         raise ValueError(f"training set is missing classes {missing}")
 

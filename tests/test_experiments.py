@@ -120,6 +120,25 @@ def test_source_preparation_peak_memory():
     assert peak <= 16e6, f"peak {peak / 1e6:.2f} MB"
 
 
+def test_source_preparation_drops_the_raw_source_before_the_fit():
+    # The head fit's features and its (K, n) temporaries make the peak; the raw
+    # source, half the features' bytes at the default config, is gone by then.
+    cfg = replace(StreamConfig(seed=0), **_STREAM_ONLY)
+    _prepare_source.__wrapped__(cfg, 1.0)  # keeps first-call allocations out of the peak
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _prepare_source.__wrapped__(cfg, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    features = cfg.n_classes * cfg.n_train_per_class * cfg.feature_dim * 8
+    assert peak <= 2.0 * features, f"peak {peak / features:.2f} x the features' bytes"
+
+
 def test_hit_is_bitwise_equal_to_an_uncached_preparation():
     first = prepare_run(SMALL, 3, 0.5)
     again = prepare_run(SMALL, 3, 0.5)

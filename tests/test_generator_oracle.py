@@ -1,16 +1,19 @@
 """The stream and source generators equal their per-batch, per-class forms.
 
-``gen_stream`` writes every batch into one preallocated block and corrupts
-the block in place; ``gen_source`` draws each class into one preallocated
-array. The per-batch and per-class bodies they had before are kept here as
-references, and every input and label is compared byte for byte. The
-memory guards pin what the in-place forms save: neither generator's
-tracemalloc peak may exceed its output by more than a tenth.
+``gen_stream`` draws every batch into one preallocated block and builds and
+corrupts it in place, a chunk of whole batches at a time; ``gen_source``
+draws each class into one preallocated array. The per-batch and per-class
+bodies they had before are kept here as references, and every input and
+label is compared byte for byte, also for streams that end on or off a chunk
+edge. The memory guards pin what the in-place forms save: neither
+generator's tracemalloc peak may exceed its output by more than a tenth.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,7 +91,7 @@ def stream_configs(draw):
         class_cov_scale=draw(st.sampled_from([0.0, 0.06, 0.5])),
         corruption=draw(st.sampled_from(CORRUPTIONS)),
         severity=draw(st.integers(1, 5)),
-        batch_size=draw(st.integers(1, 70)),
+        batch_size=draw(st.one_of(st.integers(1, 70), st.integers(500, 600))),
         n_batches=draw(st.integers(1, 9)),
         label_shift_alpha=draw(st.sampled_from([None, 1e-3, 1e3])),
         seed=draw(st.integers(0, 2**16)),
@@ -105,6 +108,19 @@ def test_gen_stream_matches_the_per_batch_reference(cfg):
         assert same_bits(batch.inputs, inputs) and same_bits(batch.hidden_labels, labels)
         assert batch.inputs.dtype == np.float64 and batch.inputs.flags.c_contiguous
         assert batch.inputs.shape == (cfg.batch_size, cfg.raw_dim)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64, 100, 511, 512, 513, 600])
+@settings(max_examples=8, deadline=None)
+@given(cfg=stream_configs())
+def test_gen_stream_matches_the_reference_across_chunk_edges(batch_size, cfg):
+    """Streams that end one batch short of, on, or one batch past a chunk
+    edge, with batches that fill a chunk exactly, overhang it, or fill it alone."""
+    step = max(1, streams._STREAM_CHUNK_ROWS // batch_size)
+    for n_batches in sorted({step - 1, step, step + 1, 2 * step + 1} - {0}):
+        edge = replace(cfg, batch_size=batch_size, n_batches=n_batches)
+        for batch, (inputs, labels) in zip(gen_stream(edge), gen_stream_ref(edge), strict=True):
+            assert same_bits(batch.inputs, inputs) and same_bits(batch.hidden_labels, labels)
 
 
 @settings(max_examples=50, deadline=None)
@@ -152,6 +168,14 @@ def traced_peak(fn, cfg):
 def test_gen_stream_peak_is_its_output():
     # the 400-batch stream of the online_long benchmark workload
     stream, peak = traced_peak(gen_stream, StreamConfig(n_batches=400))
+    out = sum(b.inputs.nbytes + b.hidden_labels.nbytes for b in stream)
+    assert peak <= 1.1 * out, (peak, out)
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_gen_stream_peak_is_its_output_under_every_corruption(corruption):
+    # gaussian_noise draws a second noise per batch; it too is held one chunk at a time
+    stream, peak = traced_peak(gen_stream, StreamConfig(n_batches=400, corruption=corruption))
     out = sum(b.inputs.nbytes + b.hidden_labels.nbytes for b in stream)
     assert peak <= 1.1 * out, (peak, out)
 

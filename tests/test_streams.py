@@ -1,5 +1,8 @@
 """Synthetic source/stream generation and site estimation."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from voronoi_tta import streams
 from voronoi_tta.adaptation import DivergenceError, FeatureExtractor, forward
+from voronoi_tta.experiments import SWEEP_AXES
 from voronoi_tta.geometry import ClusterSiteSet, assign, logistic_to_power, pd_power, vd_distances
 from voronoi_tta.streams import (
     HEAD_GTOL,
@@ -134,6 +138,20 @@ def test_missing_class_rejected():
     fe = make_extractor(SMALL)
     with pytest.raises(ValueError):
         identity_sites(x[y != 1], y[y != 1], fe, SMALL.n_classes)
+
+
+@settings(max_examples=100, deadline=None)
+@example(labels=[0, 2, -1, 4, 7, 2], n_classes=4)
+@given(labels=st.lists(st.integers(-3, 8), max_size=30), n_classes=st.integers(2, 6))
+def test_class_check_names_missing_classes_and_ignores_out_of_range_labels(labels, n_classes):
+    y = np.array(labels, dtype=int)
+    missing = sorted(set(range(n_classes)) - set(labels))
+    if missing:
+        message = re.escape(f"training set is missing classes {missing}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            streams._check_classes(y, n_classes)
+    else:
+        streams._check_classes(y, n_classes)
 
 
 def test_rotation_invariant_inputs_collapse_clusters():
@@ -402,6 +420,53 @@ def test_scale_drift_scales_the_clean_stream():
     for c, s in zip(clean, scaled):
         assert np.array_equal(s.hidden_labels, c.hidden_labels)
         assert np.array_equal(s.inputs, c.inputs * (1.0 + 0.15 * 2))
+
+
+def test_class_means_and_shift_direction_are_drawn_once_read_only():
+    cfg = replace(SMALL, corruption="shift_drift", seed=123)
+    # reference: the same draws, uncached
+    rng = np.random.default_rng([cfg.seed, streams._TAG_MEANS])
+    centroid = rng.normal(size=cfg.raw_dim)
+    centroid *= (
+        streams._CENTROID_NORM_FACTOR * cfg.class_mean_scale * np.sqrt(cfg.raw_dim)
+        / np.linalg.norm(centroid)
+    )
+    want_means = centroid + rng.normal(0.0, cfg.class_mean_scale, size=(cfg.n_classes, cfg.raw_dim))
+    rng = np.random.default_rng([cfg.seed, streams._TAG_CORRUPTION])
+    direction = rng.normal(size=cfg.raw_dim)
+    direction /= np.linalg.norm(direction)
+    want_offset = direction * (0.5 * cfg.severity * cfg.class_mean_scale * np.sqrt(cfg.raw_dim))
+
+    means = class_means(cfg)
+    assert means.tobytes() == want_means.tobytes()
+    offset = streams._corruption_params(cfg)["shift_offset"]
+    assert offset.tobytes() == want_offset.tobytes()
+    # stream-only fields are not part of the key
+    assert class_means(replace(cfg, batch_size=3, severity=5, corruption="none")) is means
+    shared = streams._shift_direction(cfg.seed, cfg.raw_dim)
+    assert streams._shift_direction(cfg.seed, cfg.raw_dim) is shared
+    for cached in (means, shared):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+    assert class_means(cfg).tobytes() == want_means.tobytes()
+
+
+def test_a_batch_size_sweep_builds_one_generator_per_stream(monkeypatch):
+    streams._class_means.cache_clear()
+    streams._shift_direction.cache_clear()
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        built.append(tuple(seed))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    for batch_size in SWEEP_AXES["batch_size"]:
+        gen_stream(replace(SMALL, seed=7, batch_size=batch_size))
+    stream = (7, streams._TAG_STREAM)
+    assert built == [(7, streams._TAG_MEANS), (7, streams._TAG_CORRUPTION)] + [stream] * 4
 
 
 def test_subsample_keeps_every_class():
