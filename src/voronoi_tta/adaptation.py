@@ -11,8 +11,6 @@ before the batch is adapted on.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +22,9 @@ from .geometry import ClusterSiteSet, InfluenceConfig
 Array = np.ndarray
 
 MODES = ("vd", "civd", "cipd")
+
+# Seed-sequence tag of the extractor's frozen map; streams lists every tag.
+_TAG_EXTRACTOR = 11
 
 
 class DivergenceError(RuntimeError):
@@ -68,7 +69,7 @@ class FeatureExtractor:
     @staticmethod
     def seeded(raw_dim: int, feature_dim: int, seed: int) -> "FeatureExtractor":
         """Random frozen map (entries ~ N(0, 1/raw_dim)), identity affine."""
-        rng = np.random.default_rng([int(seed), 11])
+        rng = np.random.default_rng([int(seed), _TAG_EXTRACTOR])
         m = rng.normal(0.0, 1.0 / np.sqrt(raw_dim), size=(feature_dim, raw_dim))
         return FeatureExtractor(m, np.ones(feature_dim), np.zeros(feature_dim))
 
@@ -93,14 +94,8 @@ class AdaptConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.filtering, bool):
             raise ValueError(f"filtering must be True or False, got {self.filtering!r}")
-        geometry._check_real("tau", self.tau)
-        geometry._check_real("learning_rate", self.learning_rate)
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(
-                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
-            )
+        geometry._check_real("tau", self.tau, "positive")
+        geometry._check_real("learning_rate", self.learning_rate, "nonnegative")
 
 
 @dataclass
@@ -208,12 +203,6 @@ def _entropy_and_score_grad(scores: Array, tau: float) -> tuple[Array, Array]:
     return h, g
 
 
-@functools.cache
-def _unit_gamma(distance_floor: float) -> InfluenceConfig:
-    """VD's gradient aggregate, gamma 1 at the run's floor; built once per floor."""
-    return InfluenceConfig(gamma=1.0, distance_floor=distance_floor)
-
-
 def batch_loss_and_grad(
     fe: FeatureExtractor, inputs, c: ClusterSiteSet, cfg: AdaptConfig, keep_mask
 ) -> tuple[float, Array, Array]:
@@ -235,15 +224,15 @@ def batch_loss_and_grad(
     # VD is the identity slice at gamma = 1; cipd alone reads the weights.
     mu = c.clusters[:, :1] if cfg.mode == "vd" else c.clusters  # (K, A, ell)
     weight_sq = geometry._weights(c) if cfg.mode == "cipd" else None
-    influence = _unit_gamma(cfg.influence.distance_floor) if cfg.mode == "vd" else cfg.influence
-    floor, gamma = influence.distance_floor, influence.gamma
+    floor = cfg.influence.distance_floor
+    gamma = 1.0 if cfg.mode == "vd" else cfg.influence.gamma
 
     x = inputs[keep]
     u = x @ fe.frozen_map.T
     z = u * fe.scale
     z += fe.shift
     terms = geometry.site_terms(geometry.squared_distances(z, mu), weight_sq)
-    h, g = _entropy_and_score_grad(geometry.aggregate_influence(terms, influence), cfg.tau)
+    h, g = _entropy_and_score_grad(geometry._aggregate(terms, gamma, floor), cfg.tau)
     active = terms > floor
     clamped = np.maximum(terms, floor)
     # dterm/dz = (z - mu) * inner: 1/d for distances, 2 for power terms.

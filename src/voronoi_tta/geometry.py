@@ -39,10 +39,17 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_real(name: str, value):
-    """A float config field takes any real number but a bool, which would run as 0 or 1."""
+_SIGNS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0, "nonzero": lambda v: v != 0}
+
+
+def _check_real(name: str, value, sign: str | None = None):
+    """A float config field takes any real number but a bool, which would run
+    as 0 or 1; given a sign ("positive", "nonnegative" or "nonzero"), only a
+    finite value of that sign."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if sign is not None and not (math.isfinite(value) and _SIGNS[sign](value)):
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
 
 def _check_points(z, dim: int) -> Array:
@@ -131,14 +138,8 @@ class InfluenceConfig:
     distance_floor: float = 1e-8
 
     def __post_init__(self):
-        _check_real("gamma", self.gamma)
-        _check_real("distance_floor", self.distance_floor)
-        if not (math.isfinite(self.gamma) and self.gamma != 0):
-            raise ValueError(f"gamma must be finite and nonzero, got {self.gamma!r}")
-        if not (math.isfinite(self.distance_floor) and self.distance_floor > 0):
-            raise ValueError(
-                f"distance_floor must be finite and positive, got {self.distance_floor!r}"
-            )
+        _check_real("gamma", self.gamma, "nonzero")
+        _check_real("distance_floor", self.distance_floor, "positive")
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +181,17 @@ def aggregate_influence(terms: Array, cfg: InfluenceConfig) -> Array:
     the result equals ``np.sum(..., axis=-1)`` bitwise; for longer axes it
     can differ from numpy's pairwise sum in the last bits. On short axes the
     explicit adds are faster than the reduction."""
-    powered = np.maximum(terms, cfg.distance_floor) ** cfg.gamma
+    return _aggregate(terms, cfg.gamma, cfg.distance_floor)
+
+
+def _aggregate(terms: Array, gamma: float, floor: float) -> Array:
+    """``aggregate_influence`` at a given gamma and floor, which VD's gradient
+    reads as gamma 1 at the run's floor."""
+    powered = np.maximum(terms, floor) ** gamma
     total = powered[..., 0]
     for a in range(1, powered.shape[-1]):
         total = total + powered[..., a]
-    return -math.copysign(1.0, cfg.gamma) * total
+    return -math.copysign(1.0, gamma) * total
 
 
 def _weights(c: ClusterSiteSet) -> Array:

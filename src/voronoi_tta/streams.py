@@ -16,7 +16,6 @@ defines the power weights are module constants, not options.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +32,8 @@ CORRUPTIONS = ("none", "gaussian_noise", "scale_drift", "rotation_drift", "shift
 # degrees; quarter turns are exact. Cluster k holds one site per view.
 VIEW_ANGLES = (0.0, 90.0, 180.0, 270.0)
 
-# Seed-sequence tags keeping the independent generators decoupled.
+# Seed-sequence tags keeping the independent generators decoupled; 11 is
+# adaptation._TAG_EXTRACTOR, the extractor's frozen map.
 _TAG_MEANS = 10
 _TAG_SOURCE = 12
 _TAG_STREAM = 13
@@ -45,6 +45,10 @@ _TAG_SUBSAMPLE = 16
 # common component that the trainable shift can absorb, while the per-class
 # geometry stays uncorrectable; both regimes matter at test time.
 _CENTROID_NORM_FACTOR = 1.8
+
+# Lower bound of each integer StreamConfig field that has no other rule.
+_INTEGER_FLOORS = {"n_classes": 2, "feature_dim": 1, "batch_size": 1, "n_batches": 1,
+                   "n_train_per_class": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -70,34 +74,20 @@ class StreamConfig:
             value = getattr(self, name)
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_classes < 2:
-            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
+        for name, low in _INTEGER_FLOORS.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.raw_dim < 2 or self.raw_dim % 2 != 0:
             raise ValueError(f"raw_dim must be even and >= 2, got {self.raw_dim}")
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.n_batches < 1:
-            raise ValueError(f"n_batches must be >= 1, got {self.n_batches}")
-        if self.n_train_per_class < 1:
-            raise ValueError(f"n_train_per_class must be >= 1, got {self.n_train_per_class}")
         if self.corruption not in CORRUPTIONS:
             raise ValueError(f"corruption must be one of {CORRUPTIONS}, got {self.corruption!r}")
         if not 1 <= self.severity <= 5:
             raise ValueError(f"severity must be an integer in 1..5, got {self.severity}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        alpha = self.label_shift_alpha
-        if alpha is not None:
-            _check_real("label_shift_alpha", alpha)
-            if not (math.isfinite(alpha) and alpha > 0):
-                raise ValueError(f"label_shift_alpha must be finite and positive, got {alpha!r}")
-        for name in ("class_mean_scale", "class_cov_scale"):
-            value = getattr(self, name)
-            _check_real(name, value)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if self.label_shift_alpha is not None:
+            _check_real("label_shift_alpha", self.label_shift_alpha, "positive")
+        _check_real("class_mean_scale", self.class_mean_scale, "nonnegative")
+        _check_real("class_cov_scale", self.class_cov_scale, "nonnegative")
 
 
 @dataclass(frozen=True)
@@ -394,9 +384,11 @@ def subsample_per_class(x, y, fraction: float, seed: int) -> tuple[Array, Array]
     if fraction == 1.0:
         return x, y
     rng = np.random.default_rng([seed, _TAG_SUBSAMPLE])
+    # The sort must be stable: each class's indices then stay ascending, so
+    # every rng.choice draws from the same array as a scan of y == k would.
+    order = np.argsort(y, kind="stable")
     keep_idx = []
-    for k in np.unique(y):
-        idx = np.flatnonzero(y == k)
+    for idx in np.split(order, np.flatnonzero(np.diff(y[order])) + 1):
         n_keep = max(1, int(round(fraction * len(idx))))
         keep_idx.append(rng.choice(idx, size=n_keep, replace=False))
     keep_idx = np.concatenate(keep_idx)

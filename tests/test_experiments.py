@@ -3,6 +3,7 @@ memory, and reuse in prepare_run (one cached source per distinct source
 config)."""
 
 import dataclasses
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -272,6 +273,61 @@ def test_float_fields_reject_bools(name, config):
     assert str(info.value) == f"{name} must be a real number, got True"
     config(**{name: 1})  # integers and numpy floats still pass
     config(**{name: np.float64(0.5)})
+
+
+# The sign each signed float field takes; any other value, and any non-finite
+# one, fails with "<name> must be finite and <sign>, got <value!r>".
+SIGNED_FIELDS = {
+    "tau": (AdaptConfig, "positive"),
+    "learning_rate": (AdaptConfig, "nonnegative"),
+    "gamma": (InfluenceConfig, "nonzero"),
+    "distance_floor": (InfluenceConfig, "positive"),
+    "label_shift_alpha": (StreamConfig, "positive"),
+    "class_mean_scale": (StreamConfig, "nonnegative"),
+    "class_cov_scale": (StreamConfig, "nonnegative"),
+}
+TINIEST = np.finfo(float).smallest_subnormal
+BIG = 2**40
+
+
+def reals(floats, ints):
+    """Python floats and ints from the two strategies, also as numpy scalars."""
+    return floats | ints | floats.map(np.float64) | ints.map(np.int64)
+
+
+WRONG_SIGN = {
+    "positive": reals(st.floats(max_value=0.0, allow_nan=False), st.integers(-BIG, 0)),
+    "nonnegative": reals(st.floats(max_value=-TINIEST, allow_nan=False), st.integers(-BIG, -1)),
+    "nonzero": reals(st.sampled_from([0.0, -0.0]), st.just(0)),
+}
+RIGHT_SIGN = {
+    "positive": reals(st.floats(min_value=TINIEST, max_value=1e300), st.integers(1, BIG)),
+    "nonnegative": reals(st.floats(min_value=0.0, max_value=1e300), st.integers(0, BIG)),
+    "nonzero": reals(st.floats(-1e300, 1e300).filter(bool), st.integers(-BIG, BIG).filter(bool)),
+}
+
+
+@pytest.mark.parametrize("name", SIGNED_FIELDS)
+@given(data=st.data())
+def test_signed_float_fields_reject_bools_non_finite_and_wrong_signs(name, data):
+    config, sign = SIGNED_FIELDS[name]
+    value = data.draw(st.sampled_from([True, False, math.nan, math.inf, -math.inf,
+                                       np.float64(math.nan)]) | WRONG_SIGN[sign])
+    if isinstance(value, bool):
+        message = f"{name} must be a real number, got {value!r}"
+    else:
+        message = f"{name} must be finite and {sign}, got {value!r}"
+    with pytest.raises(ValueError) as info:
+        config(**{name: value})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", SIGNED_FIELDS)
+@given(data=st.data())
+def test_signed_float_fields_take_finite_values_of_their_sign(name, data):
+    config, sign = SIGNED_FIELDS[name]
+    value = data.draw(RIGHT_SIGN[sign])
+    assert getattr(config(**{name: value}), name) is value
 
 
 @pytest.mark.parametrize(

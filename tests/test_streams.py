@@ -1,6 +1,7 @@
 """Synthetic source/stream generation and site estimation."""
 
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from voronoi_tta import streams
 from voronoi_tta.adaptation import DivergenceError, FeatureExtractor, forward
-from voronoi_tta.experiments import SWEEP_AXES
+from voronoi_tta.experiments import SWEEP_AXES, _prepare_source, prepare_run
 from voronoi_tta.geometry import ClusterSiteSet, assign, logistic_to_power, pd_power, vd_distances
 from voronoi_tta.streams import (
     HEAD_GTOL,
@@ -469,6 +470,64 @@ def test_a_batch_size_sweep_builds_one_generator_per_stream(monkeypatch):
     assert built == [(7, streams._TAG_MEANS), (7, streams._TAG_CORRUPTION)] + [stream] * 4
 
 
+def subsample_reference(x, y, fraction, seed):
+    """subsample_per_class's former loop: np.unique, then one scan per class."""
+    if fraction == 1.0:
+        return x, y
+    rng = np.random.default_rng([seed, streams._TAG_SUBSAMPLE])
+    keep_idx = []
+    for k in np.unique(y):
+        idx = np.flatnonzero(y == k)
+        n_keep = max(1, int(round(fraction * len(idx))))
+        keep_idx.append(rng.choice(idx, size=n_keep, replace=False))
+    keep_idx = np.concatenate(keep_idx)
+    keep_idx.sort()
+    return x[keep_idx], y[keep_idx]
+
+
+@given(
+    y=hnp.arrays(int, st.integers(1, 80), elements=st.integers(-2, 6)),
+    sort=st.booleans(),
+    fraction=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(y=np.repeat(np.arange(4), 5), sort=False, fraction=0.5, seed=0)
+def test_subsample_keeps_the_rows_of_the_per_class_loop(y, sort, fraction, seed):
+    # labels sorted or shuffled, negative or past any class count
+    if sort:
+        y = np.sort(y)
+    x = np.arange(2.0 * len(y)).reshape(-1, 2)
+    got = subsample_per_class(x, y, fraction, seed)
+    want = subsample_reference(x, y, fraction, seed)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_every_generator_of_a_seed_has_its_own_tag(monkeypatch):
+    # A generator that reused another's tag would repeat that one's draws.
+    streams._class_means.cache_clear()
+    streams._shift_direction.cache_clear()
+    _prepare_source.cache_clear()
+    built = set()
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        built.add((sys._getframe(1).f_code.co_name, tuple(seed)))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    cfg = replace(SMALL, seed=31)
+    prepare_run(cfg, cfg.seed, site_fraction=0.1)
+    for corruption in streams.CORRUPTIONS:
+        gen_stream(replace(cfg, corruption=corruption))
+    gen_stream(replace(cfg, label_shift_alpha=0.5))
+    assert {seed for _, (seed, _) in built} == {31}
+    callers = {caller for caller, _ in built}
+    assert callers == {"_class_means", "seeded", "gen_source", "subsample_per_class",
+                       "gen_stream", "_shift_direction"}
+    assert len({tag for _, (_, tag) in built}) == len(callers) == len(built)
+
+
 def test_subsample_keeps_every_class():
     x, y = gen_source(SMALL)
     xs, ys = subsample_per_class(x, y, 0.01, seed=12)
@@ -511,3 +570,17 @@ def test_integer_fields_are_checked_where_the_config_is_built(name, value, messa
         StreamConfig(**{name: value})
     assert str(info.value) == message
     StreamConfig(**{name: np.int64(getattr(StreamConfig(), name))})  # numpy integers pass
+
+
+# The lower bound of each integer field whose only rule is a floor.
+INTEGER_FLOORS = {"n_classes": 2, "feature_dim": 1, "batch_size": 1, "n_batches": 1,
+                  "n_train_per_class": 1, "seed": 0}
+
+
+@pytest.mark.parametrize("integer", [int, np.int64, np.int32, np.int8])
+@pytest.mark.parametrize("name, low", INTEGER_FLOORS.items())
+def test_integer_floors_name_the_field_and_its_bound(name, low, integer):
+    with pytest.raises(ValueError) as info:
+        StreamConfig(**{name: integer(low - 1)})
+    assert str(info.value) == f"{name} must be >= {low}, got {low - 1}"
+    assert getattr(StreamConfig(**{name: integer(low)}), name) == low
