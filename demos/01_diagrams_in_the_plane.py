@@ -60,7 +60,7 @@ print("  civd cell:", assign(civd_influences(probe, clusters, cfg)))
 print("  cipd cell:", assign(cipd_influences(probe, clusters, cfg)))
 
 for name, scores in (("civd", civd_influences), ("cipd", cipd_influences)):
-    grid, _, _ = assignment_grid(lambda p: assign(scores(p, clusters, cfg)), bbox, 220, 220)
+    grid, _, _ = assignment_grid(lambda p: assign(scores(p, clusters, cfg)), bbox, 220)
     (OUT / f"{name}_raster.svg").write_text(
         raster_svg(grid, bbox, points=clusters.clusters.reshape(-1, 2),
                    point_classes=np.repeat(range(5), 3))

@@ -232,9 +232,9 @@ def batch_loss_and_grad(
     z = u * fe.scale
     z += fe.shift
     terms = geometry.site_terms(geometry.squared_distances(z, mu), weight_sq)
-    h, g = _entropy_and_score_grad(geometry._aggregate(terms, gamma, floor), cfg.tau)
-    active = terms > floor
     clamped = np.maximum(terms, floor)
+    h, g = _entropy_and_score_grad(geometry._aggregate(clamped, gamma), cfg.tau)
+    active = terms > floor
     # dterm/dz = (z - mu) * inner: 1/d for distances, 2 for power terms.
     inner = 2.0 if weight_sq is not None else 1.0 / clamped
     # dF/dterm_a = -sign(gamma) * gamma * clamped^(gamma-1), that is

@@ -257,13 +257,13 @@ def render_diagram(spec: ExperimentSpec, which: str) -> tuple[str, dict]:
 
     n = spec.render_grid
     scores = civd_influences if which == "civd" else cipd_influences  # subtraction: cipd's
-    grid, xs, ys = assignment_grid(lambda p: assign(scores(p, clusters, influence)), bbox, n, n)
+    grid, xs, ys = assignment_grid(lambda p: assign(scores(p, clusters, influence)), bbox, n)
     extras["grid"] = grid
     extras["grid_xy"] = (xs, ys)
     highlight = None
     if which == "subtraction":
         excluded = lambda pts: ~filter_batch(pts, clusters, influence).keep_mask
-        highlight, _, _ = assignment_grid(excluded, bbox, n, n)
+        highlight, _, _ = assignment_grid(excluded, bbox, n)
         extras["highlight"] = highlight
     svg = raster_svg(
         grid, bbox, highlight=highlight, points=scatter, point_classes=scatter_classes

@@ -181,13 +181,13 @@ def aggregate_influence(terms: Array, cfg: InfluenceConfig) -> Array:
     the result equals ``np.sum(..., axis=-1)`` bitwise; for longer axes it
     can differ from numpy's pairwise sum in the last bits. On short axes the
     explicit adds are faster than the reduction."""
-    return _aggregate(terms, cfg.gamma, cfg.distance_floor)
+    return _aggregate(np.maximum(terms, cfg.distance_floor), cfg.gamma)
 
 
-def _aggregate(terms: Array, gamma: float, floor: float) -> Array:
-    """``aggregate_influence`` at a given gamma and floor, which VD's gradient
-    reads as gamma 1 at the run's floor."""
-    powered = np.maximum(terms, floor) ** gamma
+def _aggregate(clamped: Array, gamma: float) -> Array:
+    """``aggregate_influence`` of terms already clamped to the floor, at a
+    given gamma, which VD's gradient reads as gamma 1."""
+    powered = clamped ** gamma
     total = powered[..., 0]
     for a in range(1, powered.shape[-1]):
         total = total + powered[..., a]

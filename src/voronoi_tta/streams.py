@@ -8,10 +8,11 @@ requested, corrupt the inputs (never the training data used for site
 estimation), and expose the ground-truth labels only for scoring. A stream is
 one (n_batches, batch_size, raw_dim) block, of which every batch is a view:
 its random draws run batch by batch in a fixed order, and its arithmetic runs
-in passes over chunks of whole batches. A seed's class means and shift
-direction are drawn once per process and shared read-only. The source set is
-drawn class by class into one array. The views and the logistic fit that
-defines the power weights are module constants, not options.
+in passes over chunks of whole batches. A seed's class means, and the shift
+direction that only shift_drift streams read, are drawn once per process and
+shared read-only. The source set is drawn class by class into one array. The
+views and the logistic fit that defines the power weights are module
+constants, not options.
 """
 
 from __future__ import annotations
@@ -161,21 +162,10 @@ def gen_source(cfg: StreamConfig) -> tuple[Array, Array]:
     return x.reshape(-1, cfg.raw_dim), y
 
 
-def _corruption_params(cfg: StreamConfig) -> dict:
-    """Severity-scaled transform parameters, fixed for the whole stream."""
-    s = cfg.severity
-    return {
-        "noise_std": 0.5 * s * cfg.class_cov_scale,
-        "scale_factor": 1.0 + 0.15 * s,
-        "rotation_deg": 20.0 * s,
-        "shift_offset": _shift_direction(cfg.seed, cfg.raw_dim)
-        * (0.5 * s * cfg.class_mean_scale * np.sqrt(cfg.raw_dim)),
-    }
-
-
 @lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
 def _shift_direction(seed: int, raw_dim: int) -> Array:
-    """Unit direction of shift_drift's offset, drawn once per seed and process."""
+    """Unit direction of shift_drift's offset, drawn once per seed and process
+    and only for shift_drift streams."""
     rng = np.random.default_rng([seed, _TAG_CORRUPTION])
     direction = rng.normal(size=raw_dim)
     direction /= np.linalg.norm(direction)
@@ -203,19 +193,16 @@ def gen_stream(cfg: StreamConfig) -> list[Batch]:
     the corruption. Each batch is a view of its rows of the block.
     """
     means = class_means(cfg)
-    params = _corruption_params(cfg)
     rng = np.random.default_rng([cfg.seed, _TAG_STREAM])
     x = np.empty((cfg.n_batches, cfg.batch_size, cfg.raw_dim))
     y = np.empty((cfg.n_batches, cfg.batch_size), dtype=int)
     step = max(1, _STREAM_CHUNK_ROWS // cfg.batch_size)
     for start in range(0, cfg.n_batches, step):
-        _fill_batches(cfg, rng, means, params, x[start:start + step], y[start:start + step])
+        _fill_batches(cfg, rng, means, x[start:start + step], y[start:start + step])
     return [Batch(inputs=xt, hidden_labels=yt) for xt, yt in zip(x, y)]
 
 
-def _fill_batches(
-    cfg: StreamConfig, rng: np.random.Generator, means: Array, params: dict, x: Array, y: Array
-):
+def _fill_batches(cfg: StreamConfig, rng: np.random.Generator, means: Array, x: Array, y: Array):
     """Fill the consecutive batches x (b, n, m) and y (b, n) of a stream:
     their draws in stream order, then their arithmetic over the whole block."""
     b, n, m = x.shape
@@ -243,15 +230,16 @@ def _fill_batches(
     # (means[labels] + rng.normal(0, s))[order], bit for bit: normal draws
     # 0 + s * z, and no class mean (hence no clean input) is -0.0.
     rows += noise
+    sev = cfg.severity
     if extra is not None:
-        extra *= params["noise_std"]
+        extra *= 0.5 * sev * cfg.class_cov_scale
         x += extra
     elif cfg.corruption == "scale_drift":
-        x *= params["scale_factor"]
+        x *= 1.0 + 0.15 * sev
     elif cfg.corruption == "shift_drift":
-        x += params["shift_offset"]
+        x += _shift_direction(cfg.seed, m) * (0.5 * sev * cfg.class_mean_scale * np.sqrt(m))
     elif cfg.corruption == "rotation_drift":
-        _rotate_pairs(rows, params["rotation_deg"], out=rows)
+        _rotate_pairs(rows, 20.0 * sev, out=rows)
 
 
 # ---------------------------------------------------------------------------

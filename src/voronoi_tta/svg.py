@@ -92,19 +92,19 @@ def polygons_svg(
     return _document(frame, body)
 
 
-def assignment_grid(assign, bbox, n_cells_x: int = 200, n_cells_y: int = 200):
-    """Evaluate an assignment function at pixel centers.
+def assignment_grid(assign, bbox, n: int):
+    """Evaluate an assignment function at the centers of an n x n pixel grid.
 
     ``assign`` maps an (n, 2) point array to (n,) integer labels. Returns the
-    (ny, nx) label grid plus the x and y center coordinates; row 0 is the
+    (n, n) label grid plus the x and y center coordinates; row 0 is the
     bottom of the box.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in bbox)
-    xs = xmin + (np.arange(n_cells_x) + 0.5) * (xmax - xmin) / n_cells_x
-    ys = ymin + (np.arange(n_cells_y) + 0.5) * (ymax - ymin) / n_cells_y
+    xs = xmin + (np.arange(n) + 0.5) * (xmax - xmin) / n
+    ys = ymin + (np.arange(n) + 0.5) * (ymax - ymin) / n
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    labels = np.asarray(assign(pts)).reshape(n_cells_y, n_cells_x)
+    labels = np.asarray(assign(pts)).reshape(n, n)
     return labels, xs, ys
 
 

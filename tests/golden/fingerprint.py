@@ -7,8 +7,13 @@ The runs are 3 modes x filter on/off x seeds 0-1 x the four streams in
 ``STREAMS``. Each run's fingerprint is the SHA-256 of every batch record's
 predictions, keep mask, confidences, ``mean_loss`` and ``batch_error`` bytes,
 in batch order, so a change in the last bit of any of them shows. The bits
-depend on numpy, its BLAS and the CPU, so ``fingerprint.json`` records those
-beside the hashes; a machine whose provenance differs cannot be compared.
+depend on numpy, its BLAS and the CPU, so ``fingerprint.json`` records what
+moves them beside the hashes: the numpy version, the BLAS name and version,
+the kernel OpenBLAS picked (``blas_core``), the SIMD extensions numpy
+dispatches to (``numpy_simd``) and the CPU model. A machine whose provenance
+differs cannot be compared. Forcing another BLAS kernel or turning numpy's
+AVX-512 paths off changes the hashes, so both are in the key; the BLAS
+thread count is not, because one and two threads give the same 48 hashes.
 Rewrite the file only for a declared numeric change, and name it in
 CHANGES.md.
 """
@@ -45,17 +50,18 @@ STREAMS = {
 SEEDS = (0, 1)
 
 
-def _blas_threads() -> int | None:
-    """Thread count of the OpenBLAS bundled with numpy, if it is one."""
+def _blas_core() -> str | None:
+    """The kernel that the OpenBLAS bundled with numpy, if it is one, picked
+    for this CPU when it loaded (``OPENBLAS_CORETYPE`` overrides the pick)."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(glob.glob(str(libs / "*openblas*"))):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
             fn = getattr(lib, name, None)
             if fn is not None:
-                fn.restype = ctypes.c_int
-                return int(fn())
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
     return None
 
 
@@ -70,13 +76,17 @@ def _cpu_model() -> str:
 
 
 def provenance() -> dict:
-    """What the bits depend on besides the code."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    """What the bits depend on besides the code: the numpy and BLAS builds, the
+    kernel the BLAS runs, the SIMD extensions numpy dispatches to (none listed
+    when all are disabled) and the CPU model."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     return {
         "numpy": np.__version__,
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
-        "blas_threads": _blas_threads(),
+        "blas_core": _blas_core(),
+        "numpy_simd": config.get("SIMD Extensions", {}).get("found", []),
         "cpu_model": _cpu_model(),
     }
 

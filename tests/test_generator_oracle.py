@@ -36,6 +36,19 @@ def rotate_pairs_ref(x, angle_deg):
     return np.stack([ct * a - st_ * b, st_ * a + ct * b], axis=-1).reshape(x.shape)
 
 
+def corruption_params_ref(cfg):
+    """Each corruption's severity-scaled parameter, the shift direction uncached."""
+    s = cfg.severity
+    direction = np.random.default_rng([cfg.seed, streams._TAG_CORRUPTION]).normal(size=cfg.raw_dim)
+    direction /= np.linalg.norm(direction)
+    return {
+        "noise_std": 0.5 * s * cfg.class_cov_scale,
+        "scale_factor": 1.0 + 0.15 * s,
+        "rotation_deg": 20.0 * s,
+        "shift_offset": direction * (0.5 * s * cfg.class_mean_scale * np.sqrt(cfg.raw_dim)),
+    }
+
+
 def corrupt_ref(x, cfg, params, rng):
     if cfg.corruption == "none":
         return x
@@ -50,7 +63,7 @@ def corrupt_ref(x, cfg, params, rng):
 
 def gen_stream_ref(cfg):
     means = class_means(cfg)
-    params = streams._corruption_params(cfg)
+    params = corruption_params_ref(cfg)
     rng = np.random.default_rng([cfg.seed, streams._TAG_STREAM])
     batches = []
     for _ in range(cfg.n_batches):

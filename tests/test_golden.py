@@ -10,16 +10,23 @@ The bitwise gate is ``tests/golden/fingerprint.py``: the SHA-256 of 48 runs'
 predictions, keep masks, confidences, ``mean_loss`` and ``batch_error``,
 compared with ``fingerprint.json``. Those bits depend on numpy, its BLAS and
 the CPU, so on a machine whose provenance differs from the file's the
-comparison is skipped, and the skip reason names the field that differs.
+comparison is skipped, and the skip reason names the field that differs. The
+BLAS kernel and numpy's SIMD extensions move the bits on one machine, so the
+provenance must see each of them change.
 """
 
 import importlib.util
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FILES = sorted(p.relative_to(GOLDEN_DIR).as_posix() for p in GOLDEN_DIR.glob("*/*.csv"))
 LOSS_RTOL = 1e-12
@@ -72,3 +79,29 @@ def test_fingerprint_matches():
             pytest.skip(f"fingerprint.json was written where {key} is {value!r}; here it is "
                         f"{here.get(key)!r}")
     assert fingerprint.mismatches(committed["runs"], fingerprint.fingerprints()) == []
+
+
+def test_provenance_sees_the_blas_kernel_and_the_numpy_simd_paths():
+    here = _load("fingerprint").provenance()
+    if here["blas_core"] is None or platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("the BLAS is not OpenBLAS on x86-64")
+    if not here["numpy_simd"]:
+        pytest.skip("numpy dispatches to no SIMD extension here")
+    # Each variable acts only on the process that reads it at load.
+    overrides = {
+        "blas_core": {"OPENBLAS_CORETYPE": "Prescott"},  # the lowest x86-64 kernel
+        "numpy_simd": {"NPY_DISABLE_CPU_FEATURES": " ".join(here["numpy_simd"])},
+    }
+    script = GOLDEN_DIR / "fingerprint.py"
+    code = f"import json, runpy; print(json.dumps(runpy.run_path({str(script)!r})['provenance']()))"
+    runs = {
+        field: subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env},
+        )
+        for field, env in overrides.items()
+    }
+    for field, run in runs.items():
+        out, _ = run.communicate(timeout=60)
+        assert run.returncode == 0
+        assert json.loads(out)[field] != here[field], field

@@ -71,8 +71,8 @@ def test_raster_svg_rle_merges_rows():
 
 def test_assignment_grid_pixel_centers():
     sites = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.zeros(2))
-    grid, xs, ys = assignment_grid(lambda pts: assign(-pd_power(pts, sites)), (-1, 3, -1, 1), 8, 4)
-    assert grid.shape == (4, 8)
+    grid, xs, ys = assignment_grid(lambda pts: assign(-pd_power(pts, sites)), (-1, 3, -1, 1), 8)
+    assert grid.shape == (8, 8)
     # everything left of x = 1 belongs to cell 0
     for j, x in enumerate(xs):
         want = 0 if x < 1 else 1
@@ -103,7 +103,6 @@ def test_subtraction_with_zero_weights_has_no_highlight():
     grid, xs, ys = assignment_grid(
         lambda pts: assign(cipd_influences(pts, clusters, InfluenceConfig())),
         (-3, 3, -3, 3),
-        32,
         32,
     )
     gx, gy = np.meshgrid(xs, ys)

@@ -440,11 +440,11 @@ def test_class_means_and_shift_direction_are_drawn_once_read_only():
 
     means = class_means(cfg)
     assert means.tobytes() == want_means.tobytes()
-    offset = streams._corruption_params(cfg)["shift_offset"]
+    shared = streams._shift_direction(cfg.seed, cfg.raw_dim)
+    offset = shared * (0.5 * cfg.severity * cfg.class_mean_scale * np.sqrt(cfg.raw_dim))
     assert offset.tobytes() == want_offset.tobytes()
     # stream-only fields are not part of the key
     assert class_means(replace(cfg, batch_size=3, severity=5, corruption="none")) is means
-    shared = streams._shift_direction(cfg.seed, cfg.raw_dim)
     assert streams._shift_direction(cfg.seed, cfg.raw_dim) is shared
     for cached in (means, shared):
         assert not cached.flags.writeable
@@ -467,7 +467,12 @@ def test_a_batch_size_sweep_builds_one_generator_per_stream(monkeypatch):
     for batch_size in SWEEP_AXES["batch_size"]:
         gen_stream(replace(SMALL, seed=7, batch_size=batch_size))
     stream = (7, streams._TAG_STREAM)
-    assert built == [(7, streams._TAG_MEANS), (7, streams._TAG_CORRUPTION)] + [stream] * 4
+    # SMALL's rotation_drift draws no shift direction; shift_drift draws it once
+    assert built == [(7, streams._TAG_MEANS)] + [stream] * 4
+    built.clear()
+    for batch_size in SWEEP_AXES["batch_size"]:
+        gen_stream(replace(SMALL, seed=7, batch_size=batch_size, corruption="shift_drift"))
+    assert built == [stream, (7, streams._TAG_CORRUPTION)] + [stream] * 3
 
 
 def subsample_reference(x, y, fraction, seed):
