@@ -171,7 +171,7 @@ def cmd_run(spec: ExperimentSpec) -> int:
         name = f"trace_{mode}_seed{seed}.csv"
         write_atomic(out / name, "\n".join(trace_csv_lines(trace)) + "\n")
         summaries[f"{mode}/seed{seed}"] = trace_summary(trace)
-    stats = mode_statistics(traces, spec.modes, spec.seeds)
+    stats = mode_statistics(traces)
     payload = {
         "config": _spec_dict(spec),
         "per_run": summaries,
@@ -194,7 +194,7 @@ def _write_rows(path: Path, columns, rows):
 
 
 def cmd_ablate(spec: ExperimentSpec) -> int:
-    rows = mode_statistics(run_grid(spec), spec.modes, spec.seeds)
+    rows = mode_statistics(run_grid(spec))
     out = Path(spec.out_dir)
     _write_rows(out / "ablation.csv", ("mode", "mean_error", "std_error", "n_seeds"), rows)
     print(f"ablation over seeds {list(spec.seeds)}; outputs in {out}/")

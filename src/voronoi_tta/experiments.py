@@ -168,20 +168,22 @@ def run_grid(spec: ExperimentSpec) -> dict:
     return traces
 
 
-def mode_statistics(traces: dict, modes, seeds) -> list[dict]:
-    """Per-mode mean and std of final cumulative error over seeds."""
-    rows = []
-    for mode in modes:
-        errs = [traces[(mode, seed)].final_cum_error() for seed in seeds]
-        rows.append(
-            {
-                "mode": mode,
-                "mean_error": float(np.mean(errs)),
-                "std_error": float(np.std(errs)),
-                "n_seeds": len(errs),
-            }
-        )
-    return rows
+def mode_statistics(traces: dict) -> list[dict]:
+    """Per-mode mean and std of final cumulative error over seeds, read from
+    the ``(mode, seed)`` keys in insertion order: ``run_grid``'s traces give
+    the modes and, within each mode, the seeds in the spec's order."""
+    errs = {}
+    for (mode, _), trace in traces.items():
+        errs.setdefault(mode, []).append(trace.final_cum_error())
+    return [
+        {
+            "mode": mode,
+            "mean_error": float(np.mean(e)),
+            "std_error": float(np.std(e)),
+            "n_seeds": len(e),
+        }
+        for mode, e in errs.items()
+    ]
 
 
 def sweep_rows(spec: ExperimentSpec, axis: str, values=None) -> list[dict]:
@@ -207,7 +209,7 @@ def sweep_rows(spec: ExperimentSpec, axis: str, values=None) -> list[dict]:
     rows = []
     for value, point in zip(values, points):
         traces = run_grid(point)
-        for stat in mode_statistics(traces, point.modes, point.seeds):
+        for stat in mode_statistics(traces):
             rows.append({"axis": axis, "value": value, **stat})
     return rows
 

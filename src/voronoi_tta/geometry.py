@@ -122,6 +122,8 @@ class LogisticHead:
         b = np.asarray(self.bias, dtype=float)
         if w.ndim != 2 or b.shape != (w.shape[0],):
             raise ValueError("weights must be (K, dim) with one bias per row")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError("logistic head weights and bias must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 

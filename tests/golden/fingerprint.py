@@ -6,14 +6,17 @@
 The runs are 3 modes x filter on/off x seeds 0-1 x the four streams in
 ``STREAMS``. Each run's fingerprint is the SHA-256 of every batch record's
 predictions, keep mask, confidences, ``mean_loss`` and ``batch_error`` bytes,
-in batch order, so a change in the last bit of any of them shows. The bits
+in batch order, so a change in the last bit of any of them shows. Those bits
 depend on numpy, its BLAS and the CPU, so ``fingerprint.json`` records what
 moves them beside the hashes: the numpy version, the BLAS name and version,
 the kernel OpenBLAS picked (``blas_core``), the SIMD extensions numpy
 dispatches to (``numpy_simd``) and the CPU model. A machine whose provenance
-differs cannot be compared. Forcing another BLAS kernel or turning numpy's
-AVX-512 paths off changes the hashes, so both are in the key; the BLAS
-thread count is not, because one and two threads give the same 48 hashes.
+differs cannot compare the float hashes. Forcing another BLAS kernel or
+turning numpy's AVX-512 paths off changes them, so both are in the key; the
+BLAS thread count is not, because one and two threads give the same 48
+hashes. A second hash per run, in the ``decisions`` block, reads the
+predictions and keep masks alone. It matched 48/48 under other BLAS kernels
+and with numpy's AVX-512 paths off, so it is compared on every machine.
 Rewrite the file only for a declared numeric change, and name it in
 CHANGES.md.
 """
@@ -91,20 +94,24 @@ def provenance() -> dict:
     }
 
 
-def _run_hash(trace) -> str:
-    h = hashlib.sha256()
+def _run_hashes(trace) -> tuple[str, str]:
+    """The run's float hash and its decision hash, in one pass over the records."""
+    floats, decisions = hashlib.sha256(), hashlib.sha256()
     for r in trace.records:
-        h.update(np.asarray(r.predictions, dtype=np.int64).tobytes())
-        h.update(np.asarray(r.keep_mask, dtype=bool).tobytes())
-        h.update(np.asarray(r.confidences, dtype=np.float64).tobytes())
-        h.update(np.float64(r.mean_loss).tobytes())
-        h.update(np.float64(r.batch_error).tobytes())
-    return h.hexdigest()
+        for data in (np.asarray(r.predictions, dtype=np.int64).tobytes(),
+                     np.asarray(r.keep_mask, dtype=bool).tobytes()):
+            floats.update(data)
+            decisions.update(data)
+        floats.update(np.asarray(r.confidences, dtype=np.float64).tobytes())
+        floats.update(np.float64(r.mean_loss).tobytes())
+        floats.update(np.float64(r.batch_error).tobytes())
+    return floats.hexdigest(), decisions.hexdigest()
 
 
-def fingerprints() -> dict[str, str]:
-    """SHA-256 of each run, keyed ``<stream>/<mode>/filter_<on|off>/seed<k>``."""
-    hashes = {}
+def fingerprints() -> dict[str, dict[str, str]]:
+    """The float hashes (``runs``) and decision hashes (``decisions``) of each
+    run, keyed ``<stream>/<mode>/filter_<on|off>/seed<k>``."""
+    hashes = {"runs": {}, "decisions": {}}
     for name, (overrides, site_fraction) in STREAMS.items():
         cfg = replace(StreamConfig(), **overrides)
         for seed in SEEDS:
@@ -113,7 +120,7 @@ def fingerprints() -> dict[str, str]:
                 for filtering in (False, True):
                     trace = run_single(prepared, AdaptConfig(), mode, filtering)
                     key = f"{name}/{mode}/filter_{'on' if filtering else 'off'}/seed{seed}"
-                    hashes[key] = _run_hash(trace)
+                    hashes["runs"][key], hashes["decisions"][key] = _run_hashes(trace)
     return hashes
 
 
@@ -128,20 +135,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     got = fingerprints()
     if args.write:
-        payload = {"provenance": provenance(), "runs": got}
+        payload = {"provenance": provenance(), **got}
         FINGERPRINT_FILE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {len(got)} run hashes to {FINGERPRINT_FILE.name}")
+        print(f"wrote {len(got['runs'])} runs' hashes to {FINGERPRINT_FILE.name}")
         return 0
     committed = json.loads(FINGERPRINT_FILE.read_text())
     here = provenance()
     for key, value in committed["provenance"].items():
         if here.get(key) != value:
             print(f"note: {key} is {here.get(key)!r} here, {value!r} in {FINGERPRINT_FILE.name}")
-    bad = mismatches(committed["runs"], got)
-    for key in bad:
-        print(f"differs: {key}")
-    print(f"fingerprint: {len(got) - len(bad)}/{len(got)} runs match")
-    return 1 if bad else 0
+    failed = False
+    for block, hashes in got.items():
+        bad = mismatches(committed[block], hashes)
+        for key in bad:
+            print(f"differs ({block}): {key}")
+        print(f"fingerprint {block}: {len(hashes) - len(bad)}/{len(hashes)} runs match")
+        failed = failed or bool(bad)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -27,6 +27,11 @@ def test_hand_example_excludes_boundary_sample():
     assert list(report.keep_mask) == [False, True]
 
 
+def test_deep_inside_a_cell_is_kept():
+    c = ClusterSiteSet(np.array([[0.0, 0.0], [10.0, 0.0]])[:, None], np.array([0.0, 0.5]))
+    assert filter_batch(np.array([-3.0, 0.0]), c, CFG).keep_mask.tolist() == [True]
+
+
 # Multiples of 1/2 on a short range: equal distances, hence exact ties
 # between clusters, are common.
 GRID = st.integers(-4, 4).map(lambda v: v / 2.0)

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from voronoi_tta.filtering import filter_batch
 from voronoi_tta.geometry import (
     ClusterSiteSet,
     InfluenceConfig,
@@ -70,16 +69,6 @@ def test_vd_distances_hand_values():
     np.testing.assert_allclose(vd_distances(np.array([1.0, 0.0]), s2), [1.0, 1.0])
 
 
-def test_vd_distances_random_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        z = rng.normal(size=3)
-        sites = rng.normal(size=(5, 3))
-        got = vd_distances(z, ClusterSiteSet(sites[:, None]))
-        want = [dist_oracle(z, site) for site in sites]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-
 def test_assign_is_the_lowest_index_argmax():
     got = assign(np.array([1.0, 3.0, 3.0]))
     assert got == 1 and isinstance(got, int)
@@ -91,16 +80,6 @@ def test_vd_assign_tie_breaks_low_index():
     s = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None])
     assert assign(-vd_distances(np.array([0.5, 0.0]), s)) == 0
     assert assign(-vd_distances(np.array([1.0, 0.0]), s)) == 0  # exact tie
-
-
-def test_vd_assign_brute_force():
-    rng = np.random.default_rng(1)
-    sites = rng.normal(size=(8, 4))
-    s = ClusterSiteSet(sites[:, None])
-    z = rng.normal(size=(1000, 4))
-    got = assign(-vd_distances(z, s))
-    want = [argmin_first([dist_oracle(p, site) for site in sites]) for p in z]
-    assert np.array_equal(got, want)
 
 
 def test_vd_dimension_mismatch():
@@ -123,30 +102,6 @@ def test_pd_hand_power_values():
     assert assign(-pd_power(np.array([1.0, 0.0]), p)) == 1
 
 
-def test_pd_assign_brute_force():
-    rng = np.random.default_rng(2)
-    sites = rng.normal(size=(6, 3))
-    w = rng.normal(size=6)
-    p = ClusterSiteSet(sites[:, None], w)
-    z = rng.normal(size=(500, 3))
-    got = assign(-pd_power(z, p))
-    want = [
-        argmin_first([sqdist_oracle(q, site) - wk for site, wk in zip(sites, w)])
-        for q in z
-    ]
-    assert np.array_equal(got, want)
-
-
-def test_pd_equal_weights_equals_vd_for_any_offset():
-    rng = np.random.default_rng(3)
-    sites = rng.normal(size=(5, 4))
-    s = ClusterSiteSet(sites[:, None])
-    z = rng.normal(size=(300, 4))
-    for w in (-2.0, 0.0, 3.7):
-        p = ClusterSiteSet(sites[:, None], np.full(5, w))
-        assert np.array_equal(assign(-pd_power(z, p)), assign(-vd_distances(z, s)))
-
-
 # --- civd ---
 
 def one_cluster(cluster, weight_sq=None):
@@ -160,16 +115,6 @@ def test_civd_influence_hand_values():
     single = one_cluster([[0.0, 0.0]])
     gamma_one = InfluenceConfig(gamma=1.0)
     assert civd_influences(np.array([0.0, 1.0]), single, gamma_one)[0] == pytest.approx(-1.0)
-
-
-def test_civd_influence_random_oracle():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        cluster = rng.normal(size=(4, 3))
-        z = rng.normal(size=3)
-        got = civd_influences(z, one_cluster(cluster), CFG)[0]
-        want = influence_oracle(z, cluster, CFG.gamma, CFG.distance_floor)
-        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_civd_singleton_reduces_to_vd():
@@ -187,20 +132,6 @@ def test_civd_dense_cluster_pulls_assignment():
     f_sparse = influence_oracle(z, sparse, CFG.gamma, CFG.distance_floor)
     assert f_dense > f_sparse  # oracle agrees the dense pair wins
     assert assign(civd_influences(z, c, CFG)) == 0
-
-
-def test_civd_assign_brute_force_grid():
-    rng = np.random.default_rng(5)
-    clusters = rng.normal(size=(3, 4, 2))
-    c = ClusterSiteSet(clusters)
-    xs = np.linspace(-2, 2, 12)
-    pts = np.array([[x, y] for x in xs for y in xs])
-    got = assign(civd_influences(pts, c, CFG))
-    want = []
-    for p in pts:
-        vals = [influence_oracle(p, cl, CFG.gamma, CFG.distance_floor) for cl in clusters]
-        want.append(int(np.argmax(vals)))
-    assert np.array_equal(got, want)
 
 
 def test_civd_empty_cluster_rejected():
@@ -221,18 +152,6 @@ def test_cipd_influence_hand_values():
     assert cipd_influences(np.array([0.0, 0.0]), shifted, InfluenceConfig(gamma=1.0))[0] == -1.0
 
 
-def test_cipd_influence_random_oracle():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        cluster = rng.normal(size=(4, 3)) * 2.0
-        z = rng.normal(size=3)
-        dmin = min(dist_oracle(z, s) for s in cluster)
-        w = rng.uniform(-1.0, 0.5) * dmin**2  # keep v^2 below min d^2
-        got = cipd_influences(z, one_cluster(cluster, w), CFG)[0]
-        want = influence_oracle(z, cluster, CFG.gamma, CFG.distance_floor, weight_sq=w)
-        assert got == pytest.approx(want, rel=1e-12)
-
-
 def test_cipd_zero_weights_singleton_matches_vd():
     rng = np.random.default_rng(7)
     sites = rng.normal(size=(5, 3))
@@ -247,23 +166,6 @@ def test_cipd_dominant_weight_wins_everywhere():
     c = ClusterSiteSet(clusters, np.array([0.0, 1e6]))
     z = np.random.default_rng(9).normal(size=(100, 2))
     assert np.all(assign(cipd_influences(z, c, CFG)) == 1)
-
-
-def test_cipd_assign_brute_force():
-    rng = np.random.default_rng(10)
-    clusters = rng.normal(size=(4, 3, 2)) * 2.0
-    w = rng.normal(size=4) * 0.3
-    c = ClusterSiteSet(clusters, w)
-    z = rng.normal(size=(300, 2)) * 2.0
-    got = assign(cipd_influences(z, c, CFG))
-    want = []
-    for p in z:
-        vals = [
-            influence_oracle(p, cl, CFG.gamma, CFG.distance_floor, weight_sq=wk)
-            for cl, wk in zip(clusters, w)
-        ]
-        want.append(int(np.argmax(vals)))
-    assert np.array_equal(got, want)
 
 
 def test_cipd_requires_weights():
@@ -288,39 +190,6 @@ def test_logistic_to_power_hand_values():
     zero = logistic_to_power(LogisticHead(np.zeros((3, 2)), np.zeros(3)))
     np.testing.assert_allclose(zero.clusters[:, 0], np.zeros((3, 2)))
     np.testing.assert_allclose(zero.weight_sq, np.zeros(3))
-
-
-def test_logistic_to_power_matches_logit_argmax():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        h = LogisticHead(rng.normal(size=(6, 4)), rng.normal(size=6))
-        p = logistic_to_power(h)
-        z = rng.normal(size=(2000, 4)) * 2.0
-        logits = z @ h.weights.T + h.bias
-        assert np.array_equal(assign(-pd_power(z, p)), np.argmax(logits, axis=1))
-
-
-# --- diagram subtraction (the filter's disagreement rule) ---
-
-def disagrees(z, c):
-    return ~filter_batch(z, c, CFG).keep_mask
-
-
-def test_disagreement_false_for_zero_weights():
-    rng = np.random.default_rng(12)
-    c = ClusterSiteSet(rng.normal(size=(4, 4, 3)), np.zeros(4))
-    z = rng.normal(size=(300, 3))
-    assert not np.any(disagrees(z, c))
-
-
-def test_disagreement_hand_example():
-    c = ClusterSiteSet(np.array([[0.0, 0.0], [2.0, 0.0]])[:, None], np.array([0.0, 0.5]))
-    assert disagrees(np.array([[0.95, 0.0], [0.2, 0.0]]), c).tolist() == [True, False]
-
-
-def test_disagreement_false_deep_inside_cell():
-    c = ClusterSiteSet(np.array([[0.0, 0.0], [10.0, 0.0]])[:, None], np.array([0.0, 0.5]))
-    assert disagrees(np.array([-3.0, 0.0]), c).tolist() == [False]
 
 
 # --- 2-D cells ---
@@ -402,6 +271,26 @@ def test_cells_require_two_dimensions():
 
 
 # --- shared properties ---
+
+@pytest.mark.parametrize("mode", ["vd", "civd", "cipd"])
+def test_single_point_scores_match_the_oracle(mode):
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        sites = rng.normal(size=(4, 3)) * 2.0
+        z = rng.normal(size=3)
+        if mode == "vd":  # each site is its own cell
+            got = vd_distances(z, ClusterSiteSet(sites[:, None]))
+            want = [dist_oracle(z, site) for site in sites]
+        else:  # the sites form one cluster
+            w = None
+            if mode == "cipd":
+                dmin = min(dist_oracle(z, site) for site in sites)
+                w = rng.uniform(-1.0, 0.5) * dmin**2  # keep v^2 below min d^2
+            scores = civd_influences if mode == "civd" else cipd_influences
+            got = scores(z, one_cluster(sites, w), CFG)
+            want = [influence_oracle(z, sites, CFG.gamma, CFG.distance_floor, weight_sq=w)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
 
 def test_assignments_are_deterministic():
     rng = np.random.default_rng(14)

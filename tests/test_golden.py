@@ -12,7 +12,8 @@ compared with ``fingerprint.json``. Those bits depend on numpy, its BLAS and
 the CPU, so on a machine whose provenance differs from the file's the
 comparison is skipped, and the skip reason names the field that differs. The
 BLAS kernel and numpy's SIMD extensions move the bits on one machine, so the
-provenance must see each of them change.
+provenance must see each of them change. The hashes of the predictions and
+keep masks alone do not move with those, and are compared on every machine.
 """
 
 import importlib.util
@@ -70,15 +71,27 @@ def test_golden_file_matches(regenerated, name):
             assert ok, f"{name} row {i} {col}: {value} != {want}"
 
 
-def test_fingerprint_matches():
+@pytest.fixture(scope="module")
+def fingerprinted():
+    """The fingerprint module, the committed file and this machine's hashes."""
     fingerprint = _load("fingerprint")
     committed = json.loads(fingerprint.FINGERPRINT_FILE.read_text())
+    return fingerprint, committed, fingerprint.fingerprints()
+
+
+def test_fingerprint_matches(fingerprinted):
+    fingerprint, committed, got = fingerprinted
     here = fingerprint.provenance()
     for key, value in committed["provenance"].items():
         if here.get(key) != value:
             pytest.skip(f"fingerprint.json was written where {key} is {value!r}; here it is "
                         f"{here.get(key)!r}")
-    assert fingerprint.mismatches(committed["runs"], fingerprint.fingerprints()) == []
+    assert fingerprint.mismatches(committed["runs"], got["runs"]) == []
+
+
+def test_decision_fingerprint_matches(fingerprinted):
+    fingerprint, committed, got = fingerprinted
+    assert fingerprint.mismatches(committed["decisions"], got["decisions"]) == []
 
 
 def test_provenance_sees_the_blas_kernel_and_the_numpy_simd_paths():

@@ -12,7 +12,6 @@ from voronoi_tta.geometry import (
     InfluenceConfig,
     assign,
     cipd_influences,
-    civd_influences,
     pd_power,
 )
 from voronoi_tta.streams import StreamConfig
@@ -112,43 +111,3 @@ def test_subtraction_with_zero_weights_has_no_highlight():
     assert not highlight.any()
     svg = raster_svg(grid, (-3, 3, -3, 3), highlight=highlight)
     assert "#1a1a1a" not in svg  # no subtraction overlay drawn
-
-
-def test_raster_grids_agree_with_assignments():
-    spec = small_spec()
-    icfg = InfluenceConfig()
-    for which, scores in (("civd", civd_influences), ("cipd", cipd_influences)):
-        svg, extras = render_diagram(spec, which)
-        grid = extras["grid"]
-        xs, ys = extras["grid_xy"]
-        clusters = extras["clusters"]
-        rng = np.random.default_rng(1)
-        ii = rng.integers(0, len(ys), size=500)
-        jj = rng.integers(0, len(xs), size=500)
-        pts = np.column_stack([xs[jj], ys[ii]])
-        want = assign(scores(pts, clusters, icfg))
-        assert np.array_equal(grid[ii, jj], want)
-
-
-def test_polygon_cells_agree_with_pd_assign():
-    spec = small_spec()
-    svg, extras = render_diagram(spec, "pd")
-    cells = extras["cells"]
-    psites = extras["psites"]
-    xmin, xmax, ymin, ymax = extras["bbox"]
-    rng = np.random.default_rng(2)
-    pts = np.column_stack(
-        [rng.uniform(xmin, xmax, 1000), rng.uniform(ymin, ymax, 1000)]
-    )
-    labels = assign(-pd_power(pts, psites))
-
-    def point_in_convex(poly, p, tol):
-        n = len(poly)
-        for i in range(n):
-            a, b = poly[i], poly[(i + 1) % n]
-            if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) < -tol:
-                return False
-        return True
-
-    for pt, k in zip(pts, labels):
-        assert point_in_convex(cells[k], pt, tol=1e-7)
